@@ -3,9 +3,10 @@
 Closed evolution goes through the Hermitian eigendecomposition. The split
 two-interaction propagator alternates the two exponentials, which is how a
 continuous mediated interaction is discretized into short two-body gates.
-The master-equation integrator is fixed-step RK4 over the vectorized
-generator; step grids are deterministic so that repeated runs are
-bit-identical and golden tests stay meaningful.
+The master equation is linear with constant coefficients, so it is solved
+exactly: the Liouvillian superoperator is built once and each distinct
+step length costs one matrix exponential. Step grids are deterministic so
+that repeated runs are bit-identical and golden tests stay meaningful.
 
 hbar = 1 throughout.
 """
@@ -13,9 +14,9 @@ hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from .core import (
     HERMITICITY_TOL,
@@ -25,10 +26,6 @@ from .core import (
     hermitian_exp,
 )
 
-# Mid-run health thresholds for the integrator; beyond these the step size
-# is too coarse and we abort rather than return garbage.
-TRACE_DRIFT_ABORT = 1e-6
-EIGENVALUE_ABORT = -1e-6
 DEFAULT_STEPS = 2000
 
 
@@ -80,6 +77,19 @@ class LindbladModel:
             out.append(np.sqrt(rate) * embed_local(op, label, self.dims))
         return out
 
+    def liouvillian(self) -> np.ndarray:
+        """Superoperator L with vec(drho/dt) = L vec(rho), row-major vec.
+
+        Row-major vectorization maps A X B to (A kron B^T) vec(X).
+        """
+        h = self.hamiltonian
+        eye = np.eye(h.shape[0])
+        out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for q in self.embedded_jumps():
+            qdq = q.conj().T @ q
+            out += np.kron(q, q.conj()) - 0.5 * (np.kron(qdq, eye) + np.kron(eye, qdq.T))
+        return out
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -105,11 +115,6 @@ class Trajectory:
     @property
     def final(self) -> DensityMatrix:
         return self.states[-1]
-
-    def nearest(self, t: float) -> DensityMatrix:
-        """State at the sampled time closest to t."""
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        return self.states[i]
 
 
 def evolve_closed(rho0: DensityMatrix, h: np.ndarray, t: float) -> DensityMatrix:
@@ -147,22 +152,18 @@ def trotter_evolve(
     return DensityMatrix(u @ rho0.data @ u.conj().T, rho0.dims)
 
 
-def _lindblad_rhs(rho: np.ndarray, h: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    for q in jumps:
-        qd = q.conj().T
-        qdq = qd @ q
-        out = out + q @ rho @ qd - 0.5 * (qdq @ rho + rho @ qdq)
-    return out
-
-
 def evolve_lindblad(
     rho0: DensityMatrix,
     model: LindbladModel,
     t_end: float,
     dt: float | None = None,
 ) -> Trajectory:
-    """Integrate the master equation with fixed-step RK4, sampling every step.
+    """Solve the master equation exactly on a fixed grid, sampling every step.
+
+    The Liouvillian is built once and exponentiated once per distinct step
+    length (the uniform dt and, if t_end is not a multiple of it, the
+    shortened last step), so dt sets only where the trajectory is sampled,
+    not how accurate it is.
 
     Parameters
     ----------
@@ -172,19 +173,18 @@ def evolve_lindblad(
     t_end : float
         Final time, > 0.
     dt : float, optional
-        Step size; defaults to t_end/2000. Must satisfy 0 < dt <= t_end.
+        Sample spacing; defaults to t_end/2000. Must satisfy 0 < dt <= t_end.
         The last step is shortened so the grid ends exactly at t_end.
 
     Returns
     -------
     Trajectory
-        States at 0, dt, 2 dt, ..., t_end.
+        States at 0, dt, 2 dt, ..., t_end, each validated as a DensityMatrix.
 
     Raises
     ------
-    RuntimeError
-        If the trace drifts by more than 1e-6 or an eigenvalue falls below
-        -1e-6 mid-run, with a suggestion to shrink dt.
+    ValueError
+        On mismatched dimensions or a bad t_end or dt.
     """
     if rho0.dims.dims != model.dims.dims:
         raise ValueError("state and model dimensions do not match")
@@ -195,48 +195,22 @@ def evolve_lindblad(
     if dt <= 0 or dt > t_end:
         raise ValueError("need 0 < dt <= t_end")
 
-    h = model.hamiltonian
-    jumps = model.embedded_jumps()
-    qdq_list = [q.conj().T @ q for q in jumps]
-
-    def rhs(m: np.ndarray) -> np.ndarray:
-        out = -1j * (h @ m - m @ h)
-        for q, qdq in zip(jumps, qdq_list):
-            out = out + q @ m @ q.conj().T - 0.5 * (qdq @ m + m @ qdq)
-        return out
-
     n_full = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
     steps = [dt] * n_full + ([remainder] if remainder > 1e-12 * t_end else [])
 
-    rho = np.array(rho0.data, dtype=complex)
+    gen = model.liouvillian()
+    propagators = {step: expm(gen * step) for step in set(steps)}
+    d = rho0.dim
+    vec = np.array(rho0.data, dtype=complex).reshape(-1)
     times = [0.0]
     states = [rho0]
     t = 0.0
     for step in steps:
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * step * k1)
-        k3 = rhs(rho + 0.5 * step * k2)
-        k4 = rhs(rho + step * k3)
-        rho = rho + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)  # remove Hermiticity drift
+        rho = (propagators[step] @ vec).reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)  # remove rounding-level anti-Hermitian part
+        vec = rho.reshape(-1)
         t += step
-
-        drift = abs(np.real(rho.trace()) - 1.0)
-        lo = float(np.linalg.eigvalsh(rho)[0])
-        if drift > TRACE_DRIFT_ABORT or lo < EIGENVALUE_ABORT:
-            raise RuntimeError(
-                f"integrator left the state set at t={t:.6g}: "
-                f"trace drift {drift:.3e}, min eigenvalue {lo:.3e}; "
-                f"reduce dt (currently {step:.3e})"
-            )
-        try:
-            sample = DensityMatrix(rho, rho0.dims)
-        except ValueError as err:
-            raise RuntimeError(
-                f"sampled state invalid at t={t:.6g} ({err}); "
-                f"reduce dt (currently {step:.3e})"
-            ) from None
         times.append(t)
-        states.append(sample)
+        states.append(DensityMatrix(rho, rho0.dims))
     return Trajectory(tuple(times), tuple(states))

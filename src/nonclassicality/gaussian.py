@@ -29,10 +29,10 @@ import numpy as np
 from scipy.constants import c as _C_LIGHT
 from scipy.constants import hbar as _HBAR
 from scipy.constants import k as _K_B
+from scipy.linalg import expm
 
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-8        # slack on 2*nu >= 1 at construction
-PROPAGATION_ABORT_TOL = 1e-6  # integration aborts past this
 PAIRING_TOL = 1e-9            # relative tolerance for +/-nu dedup
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 STABILITY_MARGIN = 1e-12
@@ -485,70 +485,50 @@ class GaussianTrajectory:
 
 
 def propagate_covariance(v0: CovarianceState, model: DriftDiffusion,
-                         t_end: float, dt: float | None = None,
-                         n_samples: int = 400) -> GaussianTrajectory:
-    """Fixed-step RK4 integration of dV/dt = K V + V K^T + D.
+                         t_end: float, n_samples: int = 400) -> GaussianTrajectory:
+    """Exact solution of dV/dt = K V + V K^T + D on a uniform sample grid.
 
-    The step defaults to min(t_end/2000, 0.002/|eig K|_max) and is then
-    rounded so an integer number of steps lands exactly on t_end. The
-    stiffness-tied factor is deliberately small: truncation error scales
-    with the largest covariance entry, and a hot mechanical mode starts
-    four orders of magnitude above the vacuum floor where the physicality
-    margin is measured. Symmetry is re-enforced after every step, and
-    every step is checked against the physical cone; drifting below
-    2 nu = 1 - PROPAGATION_ABORT_TOL aborts, which for exact arithmetic
-    cannot happen and so signals a step size too large for K.
+    The equation is linear in vec(V): with the constant term appended as
+    one more coordinate it reads x' = A x, A = [[K kron I + I kron K,
+    vec(D)], [0, 0]] (Van Loan's augmented form). One matrix exponential
+    expm(A h) for the spacing h = t_end / n_samples is the step propagator
+    for every sample, so sample i sits exactly at t_end * i / n_samples.
+    The same path serves stable and unstable drifts.
 
-    Returns about n_samples states evenly spread over (0, t_end], plus the
-    initial state at t=0.
+    Returns the initial state at t=0 plus n_samples states. Each sample is
+    symmetrized and built as a CovarianceState with its full physicality
+    check; an unphysical model (lossy drift with too little diffusion, for
+    one) raises RuntimeError when a sample leaves the physical cone.
     """
     if v0.v.shape != model.k.shape:
         raise ValueError(f"state dim {v0.v.shape[0]} does not match drift {model.dim}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
-    if dt is None:
-        spread = float(np.max(np.abs(np.linalg.eigvals(model.k))))
-        dt = t_end / 2000 if spread == 0 else min(t_end / 2000, 0.002 / spread)
-    if not 0 < dt:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
-    h = t_end / n_steps
+    count = max(1, n_samples)
+    n = model.dim
+    eye = np.eye(n)
+    gen = np.zeros((n * n + 1, n * n + 1))
+    gen[:-1, :-1] = np.kron(model.k, eye) + np.kron(eye, model.k)
+    gen[:-1, -1] = model.d.reshape(-1)
+    step = expm(gen * (t_end / count))
 
-    count = min(max(1, n_samples), n_steps)
-    wanted = np.unique(np.round(np.linspace(n_steps / count, n_steps, count)).astype(int))
-    sample_at = set(int(i) for i in wanted)
-
-    k_mat, d_mat = model.k, model.d
-
-    def rhs(v):
-        return k_mat @ v + v @ k_mat.T + d_mat
-
-    v = np.array(v0.v, dtype=float)
+    x = np.append(v0.v.reshape(-1), 1.0)
     times = [0.0]
     states = [v0]
-    for step in range(1, n_steps + 1):
-        r1 = rhs(v)
-        r2 = rhs(v + 0.5 * h * r1)
-        r3 = rhs(v + 0.5 * h * r2)
-        r4 = rhs(v + h * r3)
-        v = v + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
+    for i in range(1, count + 1):
+        x = step @ x
+        v = x[:-1].reshape(n, n)
         v = 0.5 * (v + v.T)
-        nu_min = float(np.min(symplectic_eigenvalues(v)))
-        if 2 * nu_min < 1 - PROPAGATION_ABORT_TOL:
+        x[:-1] = v.reshape(-1)
+        t = t_end * i / count
+        try:
+            state = CovarianceState(v, v0.mode_labels)
+        except ValueError as exc:
             raise RuntimeError(
-                f"propagation left the physical cone at t = {step * h:.6e}: "
-                f"2 nu_min = {2 * nu_min:.9f}; reduce dt (currently {h:.3e})"
-            )
-        if step in sample_at:
-            try:
-                state = CovarianceState(v, v0.mode_labels)
-            except ValueError as exc:
-                raise RuntimeError(
-                    f"sample at t = {step * h:.6e} violates state invariants "
-                    f"({exc}); reduce dt (currently {h:.3e})"
-                ) from None
-            times.append(step * h)
-            states.append(state)
+                f"propagation left the physical cone at t = {t:.6e}: {exc}"
+            ) from None
+        times.append(t)
+        states.append(state)
     return GaussianTrajectory(tuple(times), tuple(states))
 
 
@@ -620,8 +600,7 @@ class TransientBenchmark:
 
 def reproduce_fig4(powers_b: Sequence = FIG4_POWERS_B_W, *,
                    params: OptomechParams | None = None,
-                   t_max: float | None = None, dt: float | None = None,
-                   n_samples: int = 400,
+                   t_max: float | None = None, n_samples: int = 400,
                    steady_tol: float = 1e-6) -> TransientBenchmark:
     """Transient entanglement benchmark at the standard membrane workpoint.
 
@@ -640,7 +619,7 @@ def reproduce_fig4(powers_b: Sequence = FIG4_POWERS_B_W, *,
         derived = derive_params(p)
         model = build_drift_diffusion(derived, p)
         traj = propagate_covariance(initial_covariance(derived), model,
-                                    horizon, dt=dt, n_samples=n_samples)
+                                    horizon, n_samples=n_samples)
         pairs = [_entanglement_pair(state) for state in traj.states]
         e_ab = tuple(pair[0] for pair in pairs)
         e_abc = tuple(pair[1] for pair in pairs)

@@ -133,11 +133,22 @@ class TestEvolveLindblad:
         marginal_b = partial_trace(out, ("B",)).data
         assert np.allclose(marginal_b, np.outer(KET0, KET0.conj()), atol=1e-9)
 
-    def test_oversized_step_aborts_with_diagnostics(self):
+    def test_step_size_does_not_change_final_state(self):
+        # exact propagation: dt sets the sample grid, not the accuracy
         rho = pure(KET1, (2,), ("A",))
         model = LindbladModel(40.0 * SZ, (("A", SX, 30.0),), QUBIT)
-        with pytest.raises(RuntimeError, match="dt"):
-            evolve_lindblad(rho, model, 5.0, dt=2.5)
+        coarse = evolve_lindblad(rho, model, 5.0, dt=2.5)
+        fine = evolve_lindblad(rho, model, 5.0, dt=5.0 / 2000)
+        assert len(coarse) == 3 and len(fine) == 2001
+        assert np.max(np.abs(coarse.final.data - fine.final.data)) < 1e-10
+
+    def test_shortened_last_step_lands_on_t_end(self):
+        g = 0.3
+        model = LindbladModel(np.zeros((2, 2)), (("A", SZ, g),), QUBIT)
+        traj = evolve_lindblad(qubit_plus(), model, 1.0, dt=0.3)
+        assert traj.times == pytest.approx((0.0, 0.3, 0.6, 0.9, 1.0), abs=1e-15)
+        for t, state in traj:
+            assert state.data[0, 1].real == pytest.approx(0.5 * np.exp(-2 * g * t), abs=1e-12)
 
     def test_rejects_bad_times(self):
         rho = pure(KET0, (2,), ("A",))

@@ -327,10 +327,35 @@ class TestPropagate:
         model = DriftDiffusion(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="t_end"):
             propagate_covariance(vacuum(1), model, 0.0)
-        with pytest.raises(ValueError, match="dt"):
-            propagate_covariance(vacuum(1), model, 1.0, dt=-0.1)
         with pytest.raises(ValueError, match="dim"):
             propagate_covariance(vacuum(2), model, 1.0)
+
+    def test_matches_closed_form_on_stable_drifts(self):
+        # V(t) = V_s + e^{Kt} (V0 - V_s) e^{K^T t} on random strictly
+        # stable drifts, at every sampled time
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            a = 0.5 * rng.normal(size=(4, 4))
+            k = a - (max(np.linalg.eigvals(a).real) + 1.0) * np.eye(4)
+            d0 = np.diag(rng.uniform(0.5, 2.0, size=4))
+            raw = solve_continuous_lyapunov(k, -d0)
+            floor = min(np.linalg.eigvalsh(0.5 * (raw + raw.T)))
+            model = DriftDiffusion(k, (1.2 / floor) * d0)
+            v_s = solve_continuous_lyapunov(k, -model.d)
+            v0 = CovarianceState(v_s + np.eye(4))
+            traj = propagate_covariance(v0, model, 3.0, n_samples=7)
+            assert len(traj) == 8
+            for t, state in traj:
+                phi = expm(k * t)
+                exact = v_s + phi @ (v0.v - v_s) @ phi.T
+                err = np.max(np.abs(state.v - exact))
+                assert err <= 1e-10 * np.max(np.abs(exact))
+
+    def test_sample_times_are_exact_fractions(self):
+        p = OptomechParams.membrane_defaults()
+        t_max = 3 / p.omega_c
+        bench = reproduce_fig4((60e-3,), t_max=t_max, n_samples=25)
+        assert bench.series[0].times == tuple(t_max * i / 25 for i in range(26))
 
 
 class TestLyapunovSteady:

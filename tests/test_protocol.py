@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nonclassicality.core import DensityMatrix, MeasurementBasis, SystemDims, kron
 from nonclassicality.measures import ReeConfig
 from nonclassicality.protocol import (
     TripartiteScenario,
+    _states_at_times,
     load_scenario,
     run_detection,
     save_scenario,
@@ -162,6 +164,30 @@ class TestRunDetection:
         rep = run_detection(scenario_gain_example(2), ree_config=tiny)
         assert rep.verdict == "INCONCLUSIVE"
         assert any("not converged" in d for d in rep.diagnostics)
+
+
+class TestOpenEvolution:
+    def test_off_grid_sample_time_is_exact(self):
+        # 0.3337 is off the t_end/2000 grid; the state must be the exact
+        # solution there, not the one at the nearest grid point
+        jumps = (("A", SX, 0.2), ("B", SZ, 0.1), ("C", SY, 0.15))
+        scenario = make(h_ac=kron(SX, I2, SZ), h_bc=kron(I2, SY, SX), jumps=jumps,
+                        sample_times=(0.0, 0.3337, 1.0))
+        states = _states_at_times(scenario, scenario.rho0, scenario.sample_times)
+
+        # column-major vec: vec(X A Y) = (Y^T kron X) vec(A)
+        h = scenario.hamiltonian
+        eye = np.eye(8)
+        gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for label, op, rate in jumps:
+            q = np.sqrt(rate) * {"A": kron(op, I2, I2), "B": kron(I2, op, I2),
+                                 "C": kron(I2, I2, op)}[label]
+            qdq = q.conj().T @ q
+            gen += np.kron(q.conj(), q) - 0.5 * (np.kron(eye, qdq) + np.kron(qdq.T, eye))
+        vec0 = scenario.rho0.data.reshape(-1, order="F")
+        for t, state in zip(scenario.sample_times, states):
+            exact = (expm(gen * t) @ vec0).reshape(8, 8, order="F")
+            assert np.max(np.abs(state.data - exact)) < 1e-10
 
 
 class TestSecDetection:
