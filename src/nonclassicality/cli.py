@@ -56,19 +56,34 @@ def _write_out(args, payload: str | None) -> None:
         fh.write(payload)
 
 
+# (flag, argparse attribute, ReeConfig field) of each REE override
+_REE_FLAGS = (
+    ("--seed", "seed", "seed"),
+    ("--gap-tol", "gap_tol", "gap_tol"),
+    ("--bracket-tol", "bracket_tol", "bracket_tol"),
+    ("--ree-max-iter", "ree_max_iter", "max_iter"),
+)
+
+
 def _ree_config(args) -> ReeConfig:
-    cfg = ReeConfig(seed=args.seed)
-    if args.gap_tol is not None:
-        cfg = replace(cfg, gap_tol=args.gap_tol)
-    if args.bracket_tol is not None:
-        cfg = replace(cfg, bracket_tol=args.bracket_tol)
-    if args.ree_max_iter is not None:
-        cfg = replace(cfg, max_iter=args.ree_max_iter)
+    """The REE budgets the flags ask for; a value the config rejects is a
+    usage error that names its flag."""
+    cfg = ReeConfig()
+    for flag, attr, field in _REE_FLAGS:
+        value = getattr(args, attr)
+        if value is not None:
+            try:
+                cfg = replace(cfg, **{field: value})
+            except ValueError as exc:
+                raise UsageError(f"{flag}: {exc}") from None
     return cfg
 
 
 def _discord_config(args) -> DiscordConfig:
-    return DiscordConfig(seed=args.seed)
+    try:
+        return DiscordConfig(seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--seed: {exc}") from None
 
 
 def _load_scenario(path: str):

@@ -8,6 +8,14 @@ from projected descent over the PPT relaxation finished with an eigenvalue
 dual certificate. The relative entropy of discord (one-way deficit) is
 minimized over von Neumann bases on the measured subsystem.
 
+There is one REE engine, `ree_many`. It brackets many states in lockstep:
+every optimizer stage runs on (n, d, d) stacks, and a state that has
+finished a stage leaves the stack. Each state keeps its own random
+generator, and stacked numpy linear algebra returns the same bits per
+matrix as a single call, so a state's bracket is bit-identical whatever
+else is in the batch; `ree` is the one-state call. There is no option to
+turn the stacking off.
+
 On top of those sit two checkers: the entanglement-relocation inequality
 |E(A:BC) - E(AC:B)| <= D(AB|C), and the initial-purity bound
 E(A:B) <= S_A(0) + S_B(0).
@@ -18,8 +26,11 @@ optimizers stop early; early stopping only widens them.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -95,9 +106,31 @@ def _unpermute(mat: np.ndarray, dims: SystemDims, perm: list[int]) -> np.ndarray
     return np.ascontiguousarray(t.reshape(dims.total, dims.total))
 
 
-def _ptrans(m: np.ndarray, dl: int, dr: int) -> np.ndarray:
-    """Partial transpose of the right factor of a dl x dr bipartite matrix."""
-    return np.swapaxes(m.reshape(dl, dr, dl, dr), 1, 3).reshape(dl * dr, dl * dr)
+def _dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+@functools.lru_cache(maxsize=None)
+def _pt_index(dl: int, dr: int) -> np.ndarray:
+    """Flat gather index of the partial transpose on the right factor
+    (read-only: every caller shares it)."""
+    d = dl * dr
+    idx = np.swapaxes(np.arange(d * d).reshape(dl, dr, dl, dr), 1, 3).reshape(-1)
+    idx.setflags(write=False)
+    return idx
+
+
+def _pt_gather(rows: np.ndarray) -> np.ndarray:
+    """Flat gather index that partially transposes each matrix of an
+    (n, d, d) stack, given one `_pt_index` row per matrix; one stack may
+    so mix 2x4 and 4x2 splits."""
+    return rows + rows.shape[1] * np.arange(len(rows))[:, None]
+
+
+def _ptrans(m: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Partial transpose of each matrix of a stack (see `_pt_gather`)."""
+    return m.reshape(-1)[gather].reshape(m.shape)
 
 
 # --------------------------------------------------------------------------
@@ -107,55 +140,78 @@ def _ptrans(m: np.ndarray, dl: int, dr: int) -> np.ndarray:
 def log_negativity(rho: DensityMatrix, part: Bipartition) -> float:
     """log2 of the trace norm of the partial transpose; 0 for PPT states."""
     m, dl, dr, _ = _permute_bipartite(rho, part)
-    lam = np.linalg.eigvalsh(_ptrans(m, dl, dr))
+    lam = np.linalg.eigvalsh(_ptrans(m, _pt_index(dl, dr)))
     return float(max(0.0, np.log2(np.sum(np.abs(lam)))))
 
 
 # --------------------------------------------------------------------------
 # relative entropy machinery (natural-log internals, converted at the edges)
+#
+# Everything below works on (n, d, d) stacks, one matrix per problem, and
+# takes sigma through its eigenpairs (lam, u) so that a spectrum computed
+# once serves both the objective and the next gradient. Stacked eigh,
+# matmul and einsum give the same bits per matrix as single calls; only
+# entropies of rho, whose supports differ in size, run per matrix.
 
 
-def _neg_entropy_nat(rho: np.ndarray) -> float:
-    """Tr rho ln rho over the support."""
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > 1e-12]
-    return float(np.sum(w * np.log(w)))
+def _neg_entropy_nat(rho: np.ndarray) -> np.ndarray:
+    """Tr rho ln rho over the support, per matrix."""
+    out = []
+    for w in np.linalg.eigvalsh(rho):
+        w = w[w > 1e-12]
+        out.append(np.sum(w * np.log(w)))
+    return np.array(out)
 
 
-def _rel_ent_bits(t1: float, rho: np.ndarray, sigma: np.ndarray, floor=1e-15) -> float:
-    """S(rho||sigma) in bits given t1 = Tr rho ln rho, sigma floored PD."""
-    lam, u = np.linalg.eigh(sigma)
+def _rel_ent_bits(t1, rho, lam, u, floor=1e-15) -> np.ndarray:
+    """S(rho||sigma) in bits given t1 = Tr rho ln rho and sigma = u lam u^H."""
     lam = np.maximum(lam, floor)
-    diag = np.real(np.einsum("ij,ji->i", u.conj().T @ rho, u))
-    return (t1 - float(diag @ np.log(lam))) / LN2
+    diag = np.einsum("nij,nji->ni", _dag(u) @ rho, u).real
+    return (t1 - (diag[:, None, :] @ np.log(lam)[:, :, None])[:, 0, 0]) / LN2
 
 
-def _grad_log_term(sigma: np.ndarray, rho: np.ndarray, floor=1e-14) -> np.ndarray:
+def _grad_log_term(lam, u, rho, floor=1e-14) -> np.ndarray:
     """Divided-difference (Daleckii-Krein) gradient of Tr[rho ln sigma].
 
     Returns G >= 0 with Tr(sigma G) = Tr(rho); the descent directions of
-    S(rho||sigma) in sigma are -G up to the log-base constant.
+    S(rho||sigma) in sigma are -G up to the log-base constant. The floor
+    keeps every divided difference finite: equal eigenvalues take the
+    `near` branch.
     """
-    lam, u = np.linalg.eigh(sigma)
     lam = np.maximum(lam, floor)
-    a = u.conj().T @ rho @ u
-    dl = lam[:, None] - lam[None, :]
+    uh = _dag(u)
+    a = uh @ rho @ u
+    li, lj = lam[:, :, None], lam[:, None, :]
+    dl = li - lj
     ll = np.log(lam)
-    mid = 2.0 / (lam[:, None] + lam[None, :])
-    near = np.abs(dl) < 1e-12 * np.maximum(lam[:, None], lam[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(near, mid, (ll[:, None] - ll[None, :]) / np.where(near, 1.0, dl))
-    g = u @ (a * phi) @ u.conj().T
-    return 0.5 * (g + g.conj().T)
+    mid = 2.0 / (li + lj)
+    near = np.abs(dl) < 1e-12 * np.maximum(li, lj)
+    phi = np.where(near, mid, (ll[:, :, None] - ll[:, None, :]) / np.where(near, 1.0, dl))
+    g = u @ (a * phi) @ uh
+    return 0.5 * (g + _dag(g))
 
 
-def _simplex_proj(v: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum w = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, len(v) + 1)
-    k = idx[u - css / idx > 0][-1]
-    return np.maximum(v - css[k - 1] / k, 0.0)
+def _simplex_proj(v: np.ndarray, desc: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean projection of each row of `v` onto {w >= 0, sum w = 1}.
+
+    `desc` is the row sorted in descending order, when the caller has it
+    (an eigenvalue row reversed). Entries of -inf get weight 0 and leave
+    the other entries' projection untouched.
+    """
+    n, k = v.shape
+    if desc is None:
+        desc = v.copy()
+        desc.sort(axis=1)
+        desc = desc[:, ::-1]
+    # threshold (cumsum - 1) / j at the last j where desc_j exceeds it
+    q = (np.add.accumulate(desc, axis=1) - 1.0) / np.arange(1.0, k + 1)
+    last = (k - 1) - (desc > q)[:, ::-1].argmax(axis=1)
+    return np.maximum(v - q[np.arange(n), last][:, None], 0.0)
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) per entry, with Python's tie rule (a zero stays +0.0)."""
+    return np.where(x > 0.0, x, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -168,6 +224,8 @@ class ReeConfig:
 
     The defaults finish a dimension-8 bracket in about a second. Shrinking
     the descent budgets loosens the bracket but never invalidates it.
+    Budgets are checked at construction: counts are non-negative integers,
+    `product_rounds` is at least 1, tolerances are finite and positive.
     """
 
     seed: int = 0
@@ -180,6 +238,23 @@ class ReeConfig:
     descent_iters: int = 120
     dykstra_iters: int = 40
     admm_iters: int = 600
+
+    def __post_init__(self):
+        _check_counts(self, ("seed", "max_iter", "product_starts", "product_rounds",
+                             "weight_iters", "descent_iters", "dykstra_iters", "admm_iters"))
+        if self.product_rounds < 1:
+            raise ValueError(f"product_rounds must be at least 1, got {self.product_rounds}")
+        for name in ("gap_tol", "bracket_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_counts(cfg, names) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -213,48 +288,140 @@ class _ProductEnsemble:
         self.vecs = np.concatenate([self.vecs, v[:, None]], axis=1)
         self.w = np.append(self.w, weight)
 
-    def sigma(self, w: np.ndarray | None = None) -> np.ndarray:
-        w = self.w if w is None else w
-        return (self.vecs * w) @ self.vecs.conj().T
-
-    def overlaps(self, g: np.ndarray) -> np.ndarray:
-        return np.real(np.einsum("dk,dk->k", self.vecs.conj(), g @ self.vecs))
-
-    def prune(self, tol: float = 1e-11):
+    def prune(self, tol: float = 1e-11) -> bool:
         keep = self.w > tol
         if not keep.all():
             self.vecs = self.vecs[:, keep]
             self.w = self.w[keep] / self.w[keep].sum()
+            return True
+        return False
 
-    def cap(self, kmax: int):
+    def cap(self, kmax: int) -> bool:
         if self.vecs.shape[1] > kmax:
             order = np.argsort(self.w)[::-1][:kmax]
             self.vecs = self.vecs[:, order]
             self.w = self.w[order] / self.w[order].sum()
+            return True
+        return False
 
 
-def _reoptimize_weights(ens, rho, t1, f0, iters):
+def _atom_groups(vecs: list):
+    """Problems sorted by atom count, for products over atoms.
+
+    Returns (order, sizes, groups): the i-th problem in sorted order is
+    order[i] and has sizes[i] atoms; each group (lo, hi, k, v, vh) covers
+    the sorted positions lo..hi-1, which share k atoms, with their atom
+    vectors stacked in v and their adjoints in vh. Products are stacked
+    only within a group, because a zero-padded product is not bit-equal.
+    """
+    sizes = np.array([v.shape[1] for v in vecs])
+    order = np.argsort(sizes, kind="stable")
+    sizes = sizes[order]
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(vecs)]
+    groups = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        v = np.stack([vecs[order[i]] for i in range(lo, hi)])
+        groups.append((lo, hi, sizes[lo], v, _dag(v)))
+    return order, sizes, groups
+
+
+def _padded(rows: list, order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The rows in sorted order, zero-padded into one array."""
+    out = np.zeros((len(rows), sizes[-1]))
+    out[np.arange(sizes[-1]) < sizes[:, None]] = np.concatenate([rows[i] for i in order])
+    return out
+
+
+def _group_mixtures(groups, w, rows=None) -> np.ndarray:
+    """sum_k w_k |v_k><v_k| per problem, stacked in sorted order.
+
+    `w` holds one padded weight row per problem in `rows` (sorted
+    positions), or per problem when `rows` is None.
+    """
+    sigs = []
+    for lo, hi, k, v, vh in groups:
+        a, b = (lo, hi) if rows is None else rows.searchsorted((lo, hi))
+        if b - a < hi - lo:
+            if a == b:
+                continue
+            v, vh = v[rows[a:b] - lo], vh[rows[a:b] - lo]
+        sigs.append((v * w[a:b, None, :k]) @ vh)
+    return sigs[0] if len(sigs) == 1 else np.concatenate(sigs)
+
+
+def _mixtures(ens: list) -> np.ndarray:
+    """(n, d, d) stack of the ensembles' mixtures, in the given order."""
+    order, sizes, groups = _atom_groups([e.vecs for e in ens])
+    sig = _group_mixtures(groups, _padded([e.w for e in ens], order, sizes))
+    return sig[np.argsort(order)]
+
+
+def _reoptimize_weights(ens, rho, t1, f0, eig, iters):
     """Fully corrective step: projected gradient on the simplex with Armijo.
 
+    Runs every problem of the stack in lockstep until it stops improving.
     Steps are measured against the gradient's sup norm; near-singular
     ensembles make the raw gradient arbitrarily large and absolute steps
-    would backtrack forever without moving.
+    would backtrack forever without moving. `eig` holds the eigenpairs of
+    the current mixtures. Sets each ensemble's weights and returns the
+    values and eigenpairs of the final mixtures.
+
+    Problems are sorted by atom count. Products over atoms run per count,
+    because a zero-padded product is not bit-equal. The weight rows share
+    one array; its padding has gradient +inf, so every trial point is -inf
+    there and stays out of the simplex projection.
     """
-    w, f, step = ens.w.copy(), f0, 1.0
+    n = len(ens)
+    order, sizes, groups = _atom_groups([e.vecs for e in ens])
+    w = _padded([e.w for e in ens], order, sizes)
+    rho, t1, f = rho[order], t1[order], f0[order]
+    lam, u = eig[0][order], eig[1][order]
+    x = np.full(w.shape, np.inf)
+    step = np.ones((n, 1))
+    active = np.arange(n)
     for _ in range(iters):
-        g = -ens.overlaps(_grad_log_term(ens.sigma(w), rho)) / LN2
-        g = g / max(1.0, float(np.max(np.abs(g))))
-        s, improved = step, False
-        for _ in range(25):
-            w2 = _simplex_proj(w - s * g)
-            f2 = _rel_ent_bits(t1, rho, ens.sigma(w2))
-            if f2 < f - 1e-13:
-                w, f, step, improved = w2, f2, min(s * 1.5, 20.0), True
-                break
-            s *= 0.4
-        if not improved:
+        if active.size == n:
+            g = _grad_log_term(lam, u, rho)
+        elif active.size:
+            g = np.zeros_like(u)
+            g[active] = _grad_log_term(lam[active], u[active], rho[active])
+        else:
             break
-    return w, f
+        for lo, hi, k, v, vh in groups:
+            xg = -np.einsum("ndk,ndk->nk", vh.swapaxes(1, 2), g[lo:hi] @ v).real / LN2
+            x[lo:hi, :k] = xg / np.maximum(1.0, np.abs(xg).max(axis=1, keepdims=True))
+        s = step.copy()
+        pending = active
+        moved = np.zeros(n, dtype=bool)
+        for _ in range(25):
+            if pending.size == n:  # every problem takes the same trial step
+                w2 = _simplex_proj(w - s * x)
+                lam2, u2 = np.linalg.eigh(_group_mixtures(groups, w2))
+                f2 = _rel_ent_bits(t1, rho, lam2, u2)
+                ok = f2 < f - 1e-13
+                if ok.all():
+                    w, f, lam, u, step = w2, f2, lam2, u2, np.minimum(s * 1.5, 20.0)
+                    moved[:] = True
+                    break
+            else:
+                w2 = _simplex_proj(w[pending] - s[pending] * x[pending])
+                lam2, u2 = np.linalg.eigh(_group_mixtures(groups, w2, pending))
+                f2 = _rel_ent_bits(t1[pending], rho[pending], lam2, u2)
+                ok = f2 < f[pending] - 1e-13
+            if ok.any():
+                acc = pending[ok]
+                w[acc], f[acc], lam[acc], u[acc] = w2[ok], f2[ok], lam2[ok], u2[ok]
+                step[acc] = np.minimum(s[acc] * 1.5, 20.0)
+                moved[acc] = True
+                pending = pending[~ok]
+                if not pending.size:
+                    break
+            s *= 0.4  # only the pending problems' entries are read again
+        active = np.flatnonzero(moved)
+    for i, size, row in zip(order, sizes, w):
+        ens[i].w = row[:size]
+    back = np.argsort(order)
+    return f[back], (lam[back], u[back])
 
 
 def _schmidt_split(vec: np.ndarray, dl: int, dr: int):
@@ -263,95 +430,133 @@ def _schmidt_split(vec: np.ndarray, dl: int, dr: int):
     return [(ua[:, i], vb[i, :], s[i] ** 2) for i in range(len(s)) if s[i] > 1e-8]
 
 
-def _best_product(g, dl, dr, rng, n_starts, rounds, seed_pairs=()):
-    """max <a x b| g |a x b> by batched alternating top-eigenvector sweeps.
+def _best_product(g, ens, rngs, n_starts, rounds):
+    """max <a x b| g |a x b> per problem, by alternating top-eigenvector sweeps.
 
     Local search; used both to grow the ensemble and to estimate the FW
-    stationarity gap. Seeded with the current heaviest atoms so a converged
-    ensemble reproduces its own atoms instead of oscillating.
+    stationarity gap. Each problem draws its random starts from its own
+    generator and adds its two heaviest atoms as starts, so a converged
+    ensemble reproduces its own atoms instead of oscillating. Problems
+    sharing (dl, dr) and their number of starts sweep in one stack.
+    Returns the values and the maximizing (a, b) per problem.
     """
-    gt = g.reshape(dl, dr, dl, dr)
-    a = rng.normal(size=(n_starts, dl)) + 1j * rng.normal(size=(n_starts, dl))
-    b = rng.normal(size=(n_starts, dr)) + 1j * rng.normal(size=(n_starts, dr))
-    for sa, sb in seed_pairs:
-        a = np.concatenate([a, sa[None, :]])
-        b = np.concatenate([b, sb[None, :]])
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    wb = None
-    for _ in range(rounds):
-        ma = np.einsum("ijkl,sj,sl->sik", gt, b.conj(), b)
-        _, va = np.linalg.eigh(ma)
-        a = va[:, :, -1]
-        mb = np.einsum("ijkl,si,sk->sjl", gt, a.conj(), a)
-        wb, vb = np.linalg.eigh(mb)
-        b = vb[:, :, -1]
-    j = int(np.argmax(wb[:, -1]))
-    return float(wb[j, -1]), a[j], b[j]
+    starts, kinds = [], {}
+    for j, (e, rng) in enumerate(zip(ens, rngs)):
+        a = rng.normal(size=(n_starts, e.dl)) + 1j * rng.normal(size=(n_starts, e.dl))
+        b = rng.normal(size=(n_starts, e.dr)) + 1j * rng.normal(size=(n_starts, e.dr))
+        for k in np.argsort(e.w)[-2:]:
+            ua, _, vb = np.linalg.svd(e.vecs[:, k].reshape(e.dl, e.dr))
+            a = np.concatenate([a, ua[:, 0][None, :]])
+            b = np.concatenate([b, vb[0, :].conj()[None, :]])
+        starts.append((a, b))
+        kinds.setdefault((e.dl, e.dr, len(a)), []).append(j)
+    val, found = np.empty(len(ens)), [None] * len(ens)
+    for (dl, dr, _), js in kinds.items():
+        gt = g[js].reshape(len(js), dl, dr, dl, dr)
+        a = np.stack([starts[j][0] for j in js])
+        b = np.stack([starts[j][1] for j in js])
+        a /= np.linalg.norm(a, axis=2, keepdims=True)
+        b /= np.linalg.norm(b, axis=2, keepdims=True)
+        for _ in range(rounds):
+            ma = np.einsum("nijkl,nsj,nsl->nsik", gt, b.conj(), b)
+            a = np.linalg.eigh(ma)[1][:, :, :, -1]
+            mb = np.einsum("nijkl,nsi,nsk->nsjl", gt, a.conj(), a)
+            wb, vb = np.linalg.eigh(mb)
+            b = vb[:, :, :, -1]
+        top = np.argmax(wb[:, :, -1], axis=1)
+        for j, t, wj, aj, bj in zip(js, top, wb, a, b):
+            val[j], found[j] = wj[t, -1], (aj[t], bj[t])
+    return val, found
 
 
-def _ree_upper(rho, dl, dr, cfg: ReeConfig):
+def _line_search(t1, rho, sig, pi):
+    """Step t of the FW update (1 - t) sigma + t pi, per problem.
+
+    A coarse geometric sweep, then ternary refinement; every sweep and
+    every ternary pair is one stacked evaluation. Returns (t, value at t).
+    """
+    n, d = sig.shape[0], sig.shape[1]
+
+    def values(ts):  # ts: (n, k) -> objective at each step, (n, k)
+        k = ts.shape[1]
+        t = ts[:, :, None, None]
+        cand = ((1 - t) * sig[:, None] + t * pi[:, None]).reshape(n * k, d, d)
+        lam, u = np.linalg.eigh(cand)
+        return _rel_ent_bits(np.repeat(t1, k), np.repeat(rho, k, axis=0), lam, u).reshape(n, k)
+
+    ts = np.geomspace(1e-3, 0.9, 10)
+    jb = np.argmin(values(np.broadcast_to(ts, (n, ts.size))), axis=1)
+    lo = np.where(jb > 0, ts[jb - 1], 0.0)
+    hi = np.where(jb + 1 < ts.size, ts[np.minimum(jb + 1, ts.size - 1)], 0.95)
+    for _ in range(14):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        f12 = values(np.stack([m1, m2], axis=1))
+        left = f12[:, 0] < f12[:, 1]
+        hi, lo = np.where(left, m2, hi), np.where(left, lo, m1)
+    tb = 0.5 * (lo + hi)
+    return tb, values(tb[:, None])[:, 0]
+
+
+def _ree_upper(rho, split, t1, cfg: ReeConfig):
     """Frank-Wolfe minimization of S(rho||sigma) over product mixtures.
 
-    Returns (value_bits, fw_gap_bits, iterations, sigma). The initial
-    ensemble dephases every eigenvector of rho in its Schmidt basis, which
-    already solves pure inputs exactly.
+    `rho` is an (n, d, d) stack and `split` its (dl, dr) per problem; each
+    problem draws from its own generator seeded with `cfg.seed`. Returns
+    the final FW gap in bits, the iteration count and the separable sigma
+    of each problem. The initial ensemble dephases every eigenvector of
+    rho in its Schmidt basis, which already solves pure inputs exactly.
     """
-    rng = np.random.default_rng(cfg.seed)
-    t1 = _neg_entropy_nat(rho)
-    ens = _ProductEnsemble(dl, dr)
-    wr, vr = np.linalg.eigh(rho)
-    for i in range(len(wr)):
-        if wr[i] > 1e-10:
-            for a, b, s2 in _schmidt_split(vr[:, i], dl, dr):
-                ens.add(a, b, wr[i] * s2)
-    ens.w = ens.w / ens.w.sum()
-    f = _rel_ent_bits(t1, rho, ens.sigma())
-    ens.w, f = _reoptimize_weights(ens, rho, t1, f, cfg.weight_iters)
+    n = rho.shape[0]
+    rngs = [np.random.default_rng(cfg.seed) for _ in range(n)]
+    ens = [_ProductEnsemble(dl, dr) for dl, dr in split]
+    for e, wr, vr in zip(ens, *np.linalg.eigh(rho)):
+        for i in range(len(wr)):
+            if wr[i] > 1e-10:
+                for a, b, s2 in _schmidt_split(vr[:, i], e.dl, e.dr):
+                    e.add(a, b, wr[i] * s2)
+        e.w = e.w / e.w.sum()
+    eig = np.linalg.eigh(_mixtures(ens))
+    f, (lam, u) = _reoptimize_weights(ens, rho, t1, _rel_ent_bits(t1, rho, *eig), eig,
+                                      cfg.weight_iters)
 
-    gap = math.inf
-    it = 0
+    gap = np.full(n, math.inf)
+    iters = np.zeros(n, dtype=int)
+    stale = np.zeros(n, dtype=bool)  # (lam, u) no longer that of the ensemble
+    active = np.arange(n)
     for it in range(1, cfg.max_iter + 1):
-        g = _grad_log_term(ens.sigma(), rho)
-        heavy = np.argsort(ens.w)[-2:]
-        seeds = []
-        for k in heavy:
-            m = ens.vecs[:, k].reshape(dl, dr)
-            ua, _, vb = np.linalg.svd(m)
-            seeds.append((ua[:, 0], vb[0, :].conj()))
-        val, a, b = _best_product(
-            g, dl, dr, rng, cfg.product_starts, cfg.product_rounds, seeds
-        )
-        gap = max(val - 1.0, 0.0) / LN2  # Tr(sigma G) = 1 exactly
-        if gap < cfg.gap_tol:
+        iters[active] = it
+        sig = _mixtures([ens[i] for i in active])
+        redo = stale[active]
+        if redo.any():
+            lam[active[redo]], u[active[redo]] = np.linalg.eigh(sig[redo])
+            stale[active] = False
+        val, found = _best_product(_grad_log_term(lam[active], u[active], rho[active]),
+                                   [ens[i] for i in active], [rngs[i] for i in active],
+                                   cfg.product_starts, cfg.product_rounds)
+        gap[active] = np.maximum(val - 1.0, 0.0) / LN2  # Tr(sigma G) = 1 exactly
+        going = ~(gap[active] < cfg.gap_tol)
+        active, sig = active[going], sig[going]
+        if not active.size:
             break
-        v = np.kron(a, b)
-        pi = np.outer(v, v.conj())
-        sig = ens.sigma()
-        # coarse geometric sweep then ternary refinement of the FW step
-        ts = np.geomspace(1e-3, 0.9, 10)
-        fs = [_rel_ent_bits(t1, rho, (1 - t) * sig + t * pi) for t in ts]
-        jb = int(np.argmin(fs))
-        lo = ts[jb - 1] if jb > 0 else 0.0
-        hi = ts[jb + 1] if jb + 1 < len(ts) else 0.95
-        for _ in range(14):
-            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-            f1 = _rel_ent_bits(t1, rho, (1 - m1) * sig + m1 * pi)
-            f2 = _rel_ent_bits(t1, rho, (1 - m2) * sig + m2 * pi)
-            if f1 < f2:
-                hi = m2
-            else:
-                lo = m1
-        tb = 0.5 * (lo + hi)
-        f_new = _rel_ent_bits(t1, rho, (1 - tb) * sig + tb * pi)
-        if f_new < f:
-            ens.w = ens.w * (1 - tb)
-            ens.add(a, b, tb)
-            f = f_new
-        ens.w, f = _reoptimize_weights(ens, rho, t1, f, cfg.weight_iters)
-        ens.prune()
-        ens.cap((dl * dr) ** 2)
-    return f, gap, it, ens.sigma()
+        found = [ab for ab, keep in zip(found, going) if keep]
+        pi = np.stack([np.outer(v, v.conj()) for v in (np.kron(a, b) for a, b in found)])
+        tb, f_new = _line_search(t1[active], rho[active], sig, pi)
+        better = f_new < f[active]
+        for j in np.flatnonzero(better):
+            e = ens[active[j]]
+            e.w = e.w * (1 - tb[j])
+            e.add(*found[j], tb[j])
+        grown = active[better]
+        if grown.size:
+            f[grown] = f_new[better]
+            lam[grown], u[grown] = np.linalg.eigh(_mixtures([ens[i] for i in grown]))
+        f[active], (lam[active], u[active]) = _reoptimize_weights(
+            [ens[i] for i in active], rho[active], t1[active], f[active],
+            (lam[active], u[active]), cfg.weight_iters)
+        for i in active:
+            e = ens[i]
+            stale[i] = e.prune() | e.cap((e.dl * e.dr) ** 2)
+    return gap, iters, _mixtures(ens)
 
 
 # --------------------------------------------------------------------------
@@ -360,33 +565,36 @@ def _ree_upper(rho, dl, dr, cfg: ReeConfig):
 
 def _proj_psd(m):
     w, v = np.linalg.eigh(m)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    return (v * np.maximum(w, 0.0)[:, None, :]) @ _dag(v)
 
 
 def _proj_density(m):
     """Nearest trace-one PSD matrix (spectral simplex projection)."""
     w, v = np.linalg.eigh(m)
-    return (v * _simplex_proj(w)) @ v.conj().T
+    return (v * _simplex_proj(w, w[:, ::-1])[:, None, :]) @ _dag(v)
 
 
-def _proj_ppt_cone(m, dl, dr):
-    return _ptrans(_proj_psd(_ptrans(m, dl, dr)), dl, dr)
+def _proj_ppt_cone(m, gather):
+    return _ptrans(_proj_psd(_ptrans(m, gather)), gather)
 
 
-def _dykstra_ppt_density(m, dl, dr, iters):
+def _dykstra_ppt_density(m, pt, iters):
     """Alternating projections with corrections onto PPT density matrices."""
+    gather = _pt_gather(pt)
     x = m.copy()
     p = np.zeros_like(m)
     q = np.zeros_like(m)
     for _ in range(iters):
-        y = _proj_density(x + p)
-        p = x + p - y
-        x = _proj_ppt_cone(y + q, dl, dr)
-        q = y + q - x
-    return 0.5 * (x + x.conj().T)
+        xp = x + p
+        y = _proj_density(xp)
+        p = xp - y
+        yq = y + q
+        x = _proj_ppt_cone(yq, gather)
+        q = yq - x
+    return 0.5 * (x + _dag(x))
 
 
-def _admm_linear_ppt(w_mat, dl, dr, iters):
+def _admm_linear_ppt(w_mat, pt, iters):
     """min <W, tau> over PPT states, exporting a dual witness.
 
     The scaled dual variable u recovers Q = proj_psd(-(t u)^Gamma); then
@@ -394,64 +602,155 @@ def _admm_linear_ppt(w_mat, dl, dr, iters):
     for any Q >= 0, by weak duality. Soundness does not depend on ADMM
     having converged.
     """
-    d = dl * dr
-    t_pen = float(np.max(np.abs(np.linalg.eigvalsh(w_mat)))) / 4 + 1e-12
-    z = np.eye(d, dtype=complex) / d
-    u = np.zeros_like(z)
+    n, d = w_mat.shape[0], w_mat.shape[1]
+    t_pen = (np.max(np.abs(np.linalg.eigvalsh(w_mat)), axis=1) / 4 + 1e-12)[:, None, None]
+    z = np.broadcast_to(np.eye(d, dtype=complex) / d, (n, d, d))
+    u = np.zeros_like(w_mat)
+    gather = _pt_gather(pt)
+    w_scaled = w_mat / t_pen
     for _ in range(iters):
-        x = _proj_density(z - u - w_mat / t_pen)
-        z = _proj_ppt_cone(x + u, dl, dr)
-        u = u + x - z
-    return _proj_psd(-_ptrans(t_pen * u, dl, dr))
+        x = _proj_density(z - u - w_scaled)
+        xu = u + x
+        z = _proj_ppt_cone(xu, gather)
+        u = xu - z
+    return _proj_psd(-_ptrans(t_pen * u, gather))
 
 
-def _ree_lower(rho, dl, dr, cfg: ReeConfig, warm: np.ndarray | None):
-    """Certified lower bound on REE through the PPT relaxation.
+def _ree_lower(rho, pt, t1, warm, cfg: ReeConfig):
+    """Certified lower bound on REE through the PPT relaxation, per problem.
 
     Projected gradient minimizes S(rho||sigma) over PPT density matrices
     (warm-started from the upper bound's separable optimum), then the
     affine under-estimator at sigma is minimized over PPT exactly enough
     to extract Q, giving REE >= f(sigma) + lambda_min(W - Q^Gamma) - <W, sigma>.
-    Valid for any positive definite sigma, feasible or not.
+    Valid for any positive definite sigma, feasible or not. `rho` and
+    `warm` are (n, d, d) stacks, `pt` holds each problem's `_pt_index`.
     """
-    d = dl * dr
-    t1 = _neg_entropy_nat(rho)
-    sigma = np.eye(d, dtype=complex) / d
-    if warm is not None:
-        sigma = 0.98 * warm + 0.02 * sigma
-    f = _rel_ent_bits(t1, rho, sigma)
-    alpha = 0.5
+    n, d = rho.shape[0], rho.shape[1]
+    sigma = 0.98 * warm + 0.02 * (np.eye(d, dtype=complex) / d)
+    lam, u = np.linalg.eigh(sigma)
+    f = _rel_ent_bits(t1, rho, lam, u)
+    alpha = np.full(n, 0.5)
+    active = np.arange(n)
     for _ in range(cfg.descent_iters):
-        w_dir = -_grad_log_term(sigma, rho) / LN2
-        scale = float(np.max(np.abs(w_dir)))
-        if scale > 10.0:  # keep backtracking meaningful near singular sigma
-            w_dir = w_dir * (10.0 / scale)
-        s, moved = alpha, False
-        for _ in range(25):
-            cand = _dykstra_ppt_density(sigma - s * w_dir, dl, dr, cfg.dykstra_iters)
-            fc = _rel_ent_bits(t1, rho, cand)
-            if fc < f - 1e-13:
-                sigma, f, alpha, moved = cand, fc, min(s * 1.5, 10.0), True
-                break
-            s *= 0.4
-        if not moved:
+        if not active.size:
             break
+        w_dir = -_grad_log_term(lam[active], u[active], rho[active]) / LN2
+        scale = np.max(np.abs(w_dir), axis=(1, 2))
+        big = scale > 10.0  # keep backtracking meaningful near singular sigma
+        w_dir[big] = w_dir[big] * (10.0 / scale[big])[:, None, None]
+        s = alpha[active]
+        pending = np.arange(active.size)
+        moved = np.zeros(active.size, dtype=bool)
+        for _ in range(25):
+            ix = active[pending]
+            cand = _dykstra_ppt_density(sigma[ix] - s[pending][:, None, None] * w_dir[pending],
+                                        pt[ix], cfg.dykstra_iters)
+            lam2, u2 = np.linalg.eigh(cand)
+            fc = _rel_ent_bits(t1[ix], rho[ix], lam2, u2)
+            ok = fc < f[ix] - 1e-13
+            sigma[ix[ok]], f[ix[ok]], lam[ix[ok]], u[ix[ok]] = cand[ok], fc[ok], lam2[ok], u2[ok]
+            alpha[ix[ok]] = np.minimum(s[pending[ok]] * 1.5, 10.0)
+            moved[pending[ok]] = True
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            s[pending] *= 0.4
+        active = active[moved]
     # strictly positive sigma keeps the affine model finite
     sigma = 0.999999 * sigma + 1e-6 * np.eye(d) / d
-    f = _rel_ent_bits(t1, rho, sigma)
-    w_mat = -_grad_log_term(sigma, rho) / LN2
-    inner = float(np.real(np.trace(w_mat @ sigma)))
-    q = _admm_linear_ppt(w_mat, dl, dr, cfg.admm_iters)
-    q_pt = _ptrans(q, dl, dr)
-    cert = max(
-        float(np.linalg.eigvalsh(w_mat - sc * q_pt)[0])
-        for sc in (0.0, 0.5, 0.9, 1.0, 1.1, 2.0)
-    )
-    return max(0.0, f + cert - inner)
+    lam, u = np.linalg.eigh(sigma)
+    f = _rel_ent_bits(t1, rho, lam, u)
+    w_mat = -_grad_log_term(lam, u, rho) / LN2
+    inner = np.real(np.trace(w_mat @ sigma, axis1=1, axis2=2))
+    q_pt = _ptrans(_admm_linear_ppt(w_mat, pt, cfg.admm_iters), _pt_gather(pt))
+    # the certificate at six scales of Q, all in one stacked eigvalsh
+    scales = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 2.0])[:, None, None]
+    lowest = np.linalg.eigvalsh(w_mat[:, None] - scales * q_pt[:, None])[..., 0]
+    cert = lowest[:, 0]
+    for j in range(1, scales.shape[0]):  # the first maximum, as Python's max
+        cert = np.where(lowest[:, j] > cert, lowest[:, j], cert)
+    return _positive(f + cert - inner)
+
+
+def ree_many(
+    states: Sequence[DensityMatrix],
+    parts: Sequence[Bipartition],
+    config: ReeConfig | None = None,
+) -> list[ReeResult]:
+    """Certified REE brackets for many states, in bits, in one lockstep run.
+
+    This is the only REE engine. Problems of equal total dimension run
+    each optimizer stage together on (n, d, d) stacks, and a problem that
+    has finished a stage drops out of the stack. Each problem keeps its
+    own generator seeded with `config.seed` and its own order of draws,
+    and stacked linear algebra gives the same bits per matrix as single
+    calls, so every result is bit-identical to a call with that state
+    alone, whatever else is in the batch.
+
+    Parameters
+    ----------
+    states : sequence of DensityMatrix
+        Each of total dimension at most 16; dimensions may be mixed.
+    parts : sequence of Bipartition
+        The cut of each state.
+    config : ReeConfig, optional
+        Optimizer budgets and seed, shared by all states.
+
+    Returns
+    -------
+    list of ReeResult, in the order of `states`.
+    """
+    states, parts = list(states), list(parts)
+    if len(parts) != len(states):
+        raise ValueError(f"{len(parts)} bipartitions for {len(states)} states")
+    for rho in states:
+        if rho.dims.total > MAX_REE_DIM:
+            raise ValueError(f"total dimension {rho.dims.total} exceeds {MAX_REE_DIM}")
+    cfg = config or ReeConfig()
+    results: list = [None] * len(states)
+    by_dim: dict[int, list] = {}
+    for i, (rho, part) in enumerate(zip(states, parts)):
+        m, dl, dr, perm = _permute_bipartite(rho, part)
+        if min(dl, dr) == 1:
+            # one-sided partition: nothing to entangle
+            results[i] = ReeResult(0.0, 0.0, rho, True, 0, 0.0)
+        else:
+            by_dim.setdefault(dl * dr, []).append((i, m, (dl, dr), perm))
+
+    for d, group in by_dim.items():
+        index, ms, split, perms = zip(*group)
+        rho = np.stack(ms)
+        t1 = _neg_entropy_nat(rho)
+        gap, iters, sigma = _ree_upper(rho, split, t1, cfg)
+        # tiny maximally mixed admixture keeps the support full without
+        # disturbing separability; value is recomputed on the blended state
+        sigma = (1.0 - 1e-9) * sigma + 1e-9 * np.eye(d) / d
+        upper = _positive(_rel_ent_bits(t1, rho, *np.linalg.eigh(sigma)))
+        lower = _ree_lower(rho, np.stack([_pt_index(*s) for s in split]), t1, sigma, cfg)
+        lower = np.where(upper < lower, upper, lower)
+        for j, i in enumerate(index):
+            dims = states[i].dims
+            # either stationarity of the upper search or a bracket already
+            # tighter than the advertised resolution counts as converged;
+            # wide brackets on a stalled search are reported, never hidden
+            converged = gap[j] < cfg.gap_tol or (upper[j] - lower[j]) <= cfg.bracket_tol
+            results[i] = ReeResult(
+                value=float(upper[j]),
+                lower_bound=float(lower[j]),
+                closest_state=DensityMatrix(_unpermute(sigma[j], dims, perms[j]), dims),
+                converged=bool(converged),
+                iterations=int(iters[j]),
+                fw_gap=float(gap[j]),
+            )
+    return results
 
 
 def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None) -> ReeResult:
     """Certified REE bracket for `rho` across `part`, in bits.
+
+    A one-state call of `ree_many`; callers holding several states should
+    pass them to `ree_many` together.
 
     Parameters
     ----------
@@ -469,33 +768,7 @@ def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None) 
         the achieving separable state, a convergence flag for the upper
         search, and the Frank-Wolfe iteration count.
     """
-    if rho.dims.total > MAX_REE_DIM:
-        raise ValueError(f"total dimension {rho.dims.total} exceeds {MAX_REE_DIM}")
-    cfg = config or ReeConfig()
-    m, dl, dr, perm = _permute_bipartite(rho, part)
-    if min(dl, dr) == 1:
-        # one-sided partition: nothing to entangle
-        return ReeResult(0.0, 0.0, rho, True, 0, 0.0)
-    upper, gap, iters, sigma = _ree_upper(m, dl, dr, cfg)
-    # tiny maximally mixed admixture keeps the support full without
-    # disturbing separability; value is recomputed on the blended state
-    sigma = (1.0 - 1e-9) * sigma + 1e-9 * np.eye(dl * dr) / (dl * dr)
-    upper = max(0.0, _rel_ent_bits(_neg_entropy_nat(m), m, sigma))
-    lower = _ree_lower(m, dl, dr, cfg, warm=sigma)
-    lower = min(lower, upper)
-    closest = DensityMatrix(_unpermute(sigma, rho.dims, perm), rho.dims)
-    # either stationarity of the upper search or a bracket already tighter
-    # than the advertised resolution counts as converged; wide brackets on
-    # a stalled search are reported, never hidden
-    converged = gap < cfg.gap_tol or (upper - lower) <= cfg.bracket_tol
-    return ReeResult(
-        value=float(upper),
-        lower_bound=float(lower),
-        closest_state=closest,
-        converged=bool(converged),
-        iterations=int(iters),
-        fw_gap=float(gap),
-    )
+    return ree_many([rho], [part], config)[0]
 
 
 # --------------------------------------------------------------------------
@@ -531,33 +804,45 @@ def ree_bell_diagonal(rho: DensityMatrix) -> float:
 
 @dataclass
 class DiscordConfig:
-    """Budgets for the measurement-basis search."""
+    """Budgets for the measurement-basis search; all non-negative integers,
+    checked at construction."""
 
     grid: int = 12
     seed: int = 0
     refine_maxiter: int = 400
     unitary_starts: int = 24  # only used for measured dimension > 2
 
+    def __post_init__(self):
+        _check_counts(self, ("grid", "seed", "refine_maxiter", "unitary_starts"))
+
 
 def _dephase_axis(mat: np.ndarray, dims: tuple[int, ...], k: int, basis: np.ndarray) -> np.ndarray:
-    """Dephase subsystem k in the orthonormal basis given by `basis` columns."""
+    """Dephase subsystem k in the orthonormal basis given by `basis` columns.
+
+    A stack of bases gives the stack of dephased matrices.
+    """
     pre = int(np.prod(dims[:k], initial=1))
     d = dims[k]
     post = int(np.prod(dims[k + 1 :], initial=1))
-    rot = np.kron(np.kron(np.eye(pre), basis.conj().T), np.eye(post))
-    t = (rot @ mat @ rot.conj().T).reshape(pre, d, post, pre, d, post)
+    rot = np.kron(np.kron(np.eye(pre), _dag(basis)), np.eye(post))
+    t = (rot @ mat @ _dag(rot)).reshape(*rot.shape[:-2], pre, d, post, pre, d, post)
     out = np.zeros_like(t)
     for c in range(d):
-        out[:, c, :, :, c, :] = t[:, c, :, :, c, :]
-    out = out.reshape(mat.shape)
+        out[..., c, :, :, c, :] = t[..., c, :, :, c, :]
+    out = out.reshape(rot.shape)
     rot_back = np.kron(np.kron(np.eye(pre), basis), np.eye(post))
-    return rot_back @ out @ rot_back.conj().T
+    return rot_back @ out @ _dag(rot_back)
 
 
-def _entropy_bits(mat: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(mat)
-    w = w[w > 1e-12]
-    return float(-np.dot(w, np.log2(w)))
+def _entropy_bits(mat: np.ndarray):
+    """von Neumann entropy in bits; a stack of matrices gives a list."""
+
+    def entropy(w):
+        w = w[w > 1e-12]
+        return float(-np.dot(w, np.log2(w)))
+
+    spectra = np.linalg.eigvalsh(mat)
+    return entropy(spectra) if spectra.ndim == 1 else [entropy(w) for w in spectra]
 
 
 def _qubit_basis(theta: float, phi: float) -> np.ndarray:
@@ -609,11 +894,13 @@ def discord_deficit(
 
     if d == 2:
         best, best_angles = math.inf, (0.0, 0.0)
-        for theta in np.linspace(0.0, np.pi / 2, cfg.grid):
-            for phi in np.linspace(0.0, 2 * np.pi, cfg.grid, endpoint=False):
-                val = deficit_qubit((theta, phi))
-                if val < best:
-                    best, best_angles = val, (theta, phi)
+        grid = [(theta, phi) for theta in np.linspace(0.0, np.pi / 2, cfg.grid)
+                for phi in np.linspace(0.0, 2 * np.pi, cfg.grid, endpoint=False)]
+        if grid:  # the whole grid in one stacked eigvalsh
+            bases = np.array([_qubit_basis(theta, phi) for theta, phi in grid])
+            for angles, s in zip(grid, _entropy_bits(_dephase_axis(mat, dims, k, bases))):
+                if s - s0 < best:
+                    best, best_angles = s - s0, angles
         res = minimize(
             deficit_qubit,
             np.asarray(best_angles),
@@ -687,8 +974,7 @@ def check_relocation_bound(
         raise ValueError(f"total dimension {rho.dims.total} exceeds {MAX_REE_DIM}")
     a, b, c = rho.dims.labels
     cfg = config or ReeConfig()
-    r1 = ree(rho, Bipartition((a,), (b, c)), cfg)
-    r2 = ree(rho, Bipartition((a, c), (b,)), cfg)
+    r1, r2 = ree_many([rho, rho], [Bipartition((a,), (b, c)), Bipartition((a, c), (b,))], cfg)
     disc = discord_deficit(rho, c, discord_config)
     gap = abs(r1.value - r2.value)
     slack = (r1.value - r1.lower_bound) + (r2.value - r2.lower_bound)

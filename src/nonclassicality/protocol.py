@@ -41,7 +41,7 @@ from .measures import (
     DiscordConfig,
     ReeConfig,
     discord_deficit,
-    ree,
+    ree_many,
 )
 
 DETECTION_THRESHOLD = 1e-3
@@ -194,11 +194,15 @@ def _run_pipeline(
     cfg = ree_config or ReeConfig()
     dcfg = discord_config or DiscordConfig()
 
+    n = len(states)
+    brackets = ree_many(
+        [partial_trace(rho_t, ("A", "B")) for rho_t in states] + states,
+        [Bipartition(("A",), ("B",))] * n + [Bipartition(("A",), ("B", "C"))] * n,
+        cfg,
+    )
     e_ab, e_abc, d_vals, diagnostics = [], [], [], []
     converged = True
-    for t, rho_t in zip(times, states):
-        r_ab = ree(partial_trace(rho_t, ("A", "B")), Bipartition(("A",), ("B",)), cfg)
-        r_abc = ree(rho_t, Bipartition(("A",), ("B", "C")), cfg)
+    for t, rho_t, r_ab, r_abc in zip(times, states, brackets[:n], brackets[n:]):
         e_ab.append((r_ab.lower_bound, r_ab.value))
         e_abc.append((r_abc.lower_bound, r_abc.value))
         d_vals.append(discord_deficit(rho_t, "C", dcfg))
@@ -449,70 +453,76 @@ def theorem_property_suite(
     max_discord = 0.0
     closed_n = open_n = 0
 
+    runs = []
     for with_jumps in (False, True):
         for _ in range(trials):
             scenario = _classical_trial(rng, with_jumps)
-            if with_jumps:
-                open_n += 1
-            else:
-                closed_n += 1
-            times = scenario.sample_times
-            states = _states_at_times(scenario, scenario.rho0, times)
+            runs.append((with_jumps, scenario,
+                         _states_at_times(scenario, scenario.rho0, scenario.sample_times)))
+    # every trial's brackets in two lockstep calls: all A:BC states, then
+    # the A:B marginals at each trial's final time
+    abc = [rho_t for *_, states in runs for rho_t in states]
+    ab = [partial_trace(states[-1], ("A", "B")) for *_, states in runs]
+    e_abc = iter(ree_many(abc, [Bipartition(("A",), ("B", "C"))] * len(abc), cfg))
+    e_ab = iter(ree_many(ab, [Bipartition(("A",), ("B",))] * len(ab), cfg))
 
-            problems: list[str] = []
-            brackets: list[tuple[float, float]] = []
-            for t, rho_t in zip(times, states):
-                d = discord_deficit(rho_t, "C", dcfg)
-                max_discord = max(max_discord, d)
-                if d >= 1e-6:
-                    problems.append(f"discord {d:.3e} at t={t:.6g}")
-                r = ree(rho_t, Bipartition(("A",), ("B", "C")), cfg)
-                brackets.append((r.lower_bound, r.value))
+    for with_jumps, scenario, states in runs:
+        if with_jumps:
+            open_n += 1
+        else:
+            closed_n += 1
+        times = scenario.sample_times
+        problems: list[str] = []
+        brackets: list[tuple[float, float]] = []
+        for t, rho_t in zip(times, states):
+            d = discord_deficit(rho_t, "C", dcfg)
+            max_discord = max(max_discord, d)
+            if d >= 1e-6:
+                problems.append(f"discord {d:.3e} at t={t:.6g}")
+            r = next(e_abc)
+            brackets.append((r.lower_bound, r.value))
 
-            tol = 1e-9 if not with_jumps else 1e-6 + 1e-9
-            for i in range(len(times)):
-                for j in range(i + 1, len(times)):
-                    lo_i, hi_i = brackets[i]
-                    lo_j, hi_j = brackets[j]
-                    if lo_j > hi_i + tol:
-                        problems.append(
-                            f"entanglement rose: [{lo_j:.6f},{hi_j:.6f}] at "
-                            f"t={times[j]:.6g} above [{lo_i:.6f},{hi_i:.6f}] "
-                            f"at t={times[i]:.6g}"
-                        )
-                    if not with_jumps and lo_i > hi_j + tol:
-                        problems.append(
-                            f"entanglement fell in closed run: t={times[i]:.6g} "
-                            f"vs t={times[j]:.6g}"
-                        )
+        tol = 1e-9 if not with_jumps else 1e-6 + 1e-9
+        for i in range(len(times)):
+            for j in range(i + 1, len(times)):
+                lo_i, hi_i = brackets[i]
+                lo_j, hi_j = brackets[j]
+                if lo_j > hi_i + tol:
+                    problems.append(
+                        f"entanglement rose: [{lo_j:.6f},{hi_j:.6f}] at "
+                        f"t={times[j]:.6g} above [{lo_i:.6f},{hi_i:.6f}] "
+                        f"at t={times[i]:.6g}"
+                    )
+                if not with_jumps and lo_i > hi_j + tol:
+                    problems.append(
+                        f"entanglement fell in closed run: t={times[i]:.6g} "
+                        f"vs t={times[j]:.6g}"
+                    )
 
-            # chain inequality at the final time against the start
-            rho_tau = states[-1]
-            r_ab = ree(
-                partial_trace(rho_tau, ("A", "B")), Bipartition(("A",), ("B",)), cfg
+        # chain inequality at the final time against the start
+        r_ab = next(e_ab)
+        w_ab = r_ab.value - r_ab.lower_bound
+        w_tau = brackets[-1][1] - brackets[-1][0]
+        w_0 = brackets[0][1] - brackets[0][0]
+        if r_ab.value > brackets[-1][1] + w_ab + w_tau + 1e-9:
+            problems.append(
+                f"chain violated: e_ab(tau)={r_ab.value:.6f} above "
+                f"e_abc(tau)={brackets[-1][1]:.6f} beyond slack"
             )
-            w_ab = r_ab.value - r_ab.lower_bound
-            w_tau = brackets[-1][1] - brackets[-1][0]
-            w_0 = brackets[0][1] - brackets[0][0]
-            if r_ab.value > brackets[-1][1] + w_ab + w_tau + 1e-9:
-                problems.append(
-                    f"chain violated: e_ab(tau)={r_ab.value:.6f} above "
-                    f"e_abc(tau)={brackets[-1][1]:.6f} beyond slack"
-                )
-            if brackets[-1][1] > brackets[0][1] + w_tau + w_0 + tol:
-                problems.append(
-                    f"chain violated: e_abc(tau)={brackets[-1][1]:.6f} above "
-                    f"e_abc(0)={brackets[0][1]:.6f} beyond slack"
-                )
+        if brackets[-1][1] > brackets[0][1] + w_tau + w_0 + tol:
+            problems.append(
+                f"chain violated: e_abc(tau)={brackets[-1][1]:.6f} above "
+                f"e_abc(0)={brackets[0][1]:.6f} beyond slack"
+            )
 
-            if problems:
-                failures.append(
-                    {
-                        "problems": problems,
-                        "scenario": scenario_to_dict(scenario),
-                        "brackets": brackets,
-                    }
-                )
+        if problems:
+            failures.append(
+                {
+                    "problems": problems,
+                    "scenario": scenario_to_dict(scenario),
+                    "brackets": brackets,
+                }
+            )
 
     return TheoremSuiteReport(
         passed=not failures,

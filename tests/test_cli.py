@@ -110,6 +110,25 @@ class TestDetectionCommands:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestReeFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--ree-max-iter", "-5"], "--ree-max-iter"),
+        (["--gap-tol", "nan"], "--gap-tol"),
+        (["--gap-tol", "0"], "--gap-tol"),
+        (["--bracket-tol=-1e-3"], "--bracket-tol"),
+        (["--bracket-tol", "inf"], "--bracket-tol"),
+        (["--seed", "-1"], "--seed"),
+    ])
+    def test_rejected_budget_is_usage_error_naming_the_flag(self, argv, flag, capsys):
+        assert main(["gain-example", "--times", "2"] + argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err
+
+    def test_theorem_suite_checks_the_same_flags(self, capsys):
+        assert main(["theorem-suite", "--trials", "1", "--gap-tol", "nan"]) == 2
+        assert "--gap-tol" in capsys.readouterr().err
+
+
 class TestTheoremSuiteCommand:
     def test_single_trial_passes(self, tmp_path, capsys):
         out = tmp_path / "suite.json"

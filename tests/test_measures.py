@@ -191,6 +191,61 @@ class TestDiscordDeficit:
             discord_deficit(bell_pair(), "Q")
 
 
+class TestQuditDiscord:
+    # measured qutrit: the multi-start search over unitary generators
+    SMALL = DiscordConfig(unitary_starts=1, refine_maxiter=30)
+
+    def test_classical_qutrit_mediator_is_zero(self):
+        rng = np.random.default_rng(21)
+        p = rng.dirichlet(np.ones(3))
+        m = sum(p[c] * np.kron(random_state(4, rng), np.diag(np.eye(3)[c]))
+                for c in range(3))
+        rho = DensityMatrix(m, SystemDims((2, 2, 3), ("A", "B", "C")))
+        assert discord_deficit(rho, "C", self.SMALL) < 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_maximal_correlation_with_a_subspace_is_log2_3(self, seed):
+        # C maximally entangled with a 3-dimensional subspace of AB: every
+        # measurement basis of C leaves a state of entropy log2 3, so the
+        # value does not depend on where the search ends; a random unitary
+        # on C (identity for seed 0) changes nothing
+        rng = np.random.default_rng(seed)
+        ab = np.linalg.qr(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))[0]
+        u_c = np.eye(3) if seed == 0 else random_unitary(3, rng)
+        vec = sum(np.kron(ab[:, c], u_c[:, c]) for c in range(3)) / np.sqrt(3)
+        rho = pure(vec, (2, 2, 3), ("A", "B", "C"))
+        assert discord_deficit(rho, "C", self.SMALL) == pytest.approx(np.log2(3), abs=1e-9)
+
+    def test_measured_dimension_five_is_rejected(self):
+        rho = DensityMatrix(np.eye(15) / 15, SystemDims((3, 5), ("A", "C")))
+        with pytest.raises(ValueError, match="measured dimension 5"):
+            discord_deficit(rho, "C", self.SMALL)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", -1), ("product_starts", -2), ("weight_iters", -1),
+        ("descent_iters", -1), ("dykstra_iters", -1), ("admm_iters", -1),
+        ("seed", -1), ("max_iter", 2.5), ("product_rounds", 0),
+        ("gap_tol", 0.0), ("gap_tol", -1e-3), ("gap_tol", float("nan")),
+        ("bracket_tol", float("inf")), ("bracket_tol", "0.02"),
+    ])
+    def test_ree_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ReeConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["grid", "seed", "refine_maxiter", "unitary_starts"])
+    def test_discord_config_rejects_negative_counts(self, field):
+        with pytest.raises(ValueError, match=field):
+            DiscordConfig(**{field: -1})
+
+    def test_zero_budgets_are_allowed(self):
+        res = ree(bell_pair(), Bipartition(("A",), ("B",)),
+                  ReeConfig(max_iter=0, weight_iters=0, descent_iters=0, admm_iters=0))
+        assert res.iterations == 0 and 0.0 <= res.lower_bound <= res.value
+        assert DiscordConfig(grid=0, refine_maxiter=0).grid == 0
+
+
 class TestRelocationBound:
     def test_classical_state_holds_with_zero_sides(self):
         rep = check_relocation_bound(classical_seed_state(), LIGHT)
