@@ -10,11 +10,11 @@ minimized over von Neumann bases on the measured subsystem.
 
 There is one REE engine, `ree_many`. It brackets many states in lockstep:
 every optimizer stage runs on (n, d, d) stacks, and a state that has
-finished a stage leaves the stack. Each state keeps its own random
-generator, and stacked numpy linear algebra returns the same bits per
-matrix as a single call, so a state's bracket is bit-identical whatever
-else is in the batch; `ree` is the one-state call. There is no option to
-turn the stacking off.
+finished a stage leaves the stack or is masked out. Each state keeps its
+own random generator, and stacked numpy linear algebra returns the same
+bits per matrix as a single call, so a state's bracket is bit-identical
+whatever else is in the batch; `ree` is the one-state call. There is no
+option to turn the stacking off.
 
 On top of those sit two checkers: the entanglement-relocation inequality
 |E(A:BC) - E(AC:B)| <= D(AB|C), and the initial-purity bound
@@ -332,21 +332,22 @@ def _padded(rows: list, order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_mixtures(groups, w, rows=None) -> np.ndarray:
-    """sum_k w_k |v_k><v_k| per problem, stacked in sorted order.
+def _group_mixtures(groups, w) -> np.ndarray:
+    """sum_k w_k |v_k><v_k| per problem, stacked in sorted order; `w` holds
+    one padded weight row per problem."""
+    return np.concatenate([(v * w[lo:hi, None, :k]) @ vh for lo, hi, k, v, vh in groups])
 
-    `w` holds one padded weight row per problem in `rows` (sorted
-    positions), or per problem when `rows` is None.
-    """
-    sigs = []
+
+def _select_groups(groups, rows) -> list:
+    """The atom groups of the problems at sorted positions `rows`
+    (ascending), renumbered 0..len(rows)-1 in that order."""
+    out = []
     for lo, hi, k, v, vh in groups:
-        a, b = (lo, hi) if rows is None else rows.searchsorted((lo, hi))
-        if b - a < hi - lo:
-            if a == b:
-                continue
-            v, vh = v[rows[a:b] - lo], vh[rows[a:b] - lo]
-        sigs.append((v * w[a:b, None, :k]) @ vh)
-    return sigs[0] if len(sigs) == 1 else np.concatenate(sigs)
+        a, b = rows.searchsorted((lo, hi))
+        if a < b:
+            sel = rows[a:b] - lo
+            out.append((a, b, k, v[sel], vh[sel]))
+    return out
 
 
 def _mixtures(ens: list) -> np.ndarray:
@@ -366,6 +367,12 @@ def _reoptimize_weights(ens, rho, t1, f0, eig, iters):
     the current mixtures. Sets each ensemble's weights and returns the
     values and eigenpairs of the final mixtures.
 
+    Each Armijo trial is evaluated for every row under trial, and a mask
+    picks the rows that take it. A line search starts on the whole stack,
+    problems that stopped improving masked out; once some rows have taken
+    a step it goes on with the rows still backtracking only, so rows are
+    gathered only when that set changes.
+
     Problems are sorted by atom count. Products over atoms run per count,
     because a zero-padded product is not bit-equal. The weight rows share
     one array; its padding has gradient +inf, so every trial point is -inf
@@ -378,46 +385,33 @@ def _reoptimize_weights(ens, rho, t1, f0, eig, iters):
     lam, u = eig[0][order], eig[1][order]
     x = np.full(w.shape, np.inf)
     step = np.ones((n, 1))
-    active = np.arange(n)
+    going = np.ones(n, dtype=bool)  # not yet stopped improving
     for _ in range(iters):
-        if active.size == n:
-            g = _grad_log_term(lam, u, rho)
-        elif active.size:
-            g = np.zeros_like(u)
-            g[active] = _grad_log_term(lam[active], u[active], rho[active])
-        else:
+        if not going.any():
             break
+        g = _grad_log_term(lam, u, rho)
         for lo, hi, k, v, vh in groups:
             xg = -np.einsum("ndk,ndk->nk", vh.swapaxes(1, 2), g[lo:hi] @ v).real / LN2
             x[lo:hi, :k] = xg / np.maximum(1.0, np.abs(xg).max(axis=1, keepdims=True))
-        s = step.copy()
-        pending = active
-        moved = np.zeros(n, dtype=bool)
+        rows, pending, sub = np.arange(n), going.copy(), groups
+        wr, xr, sr, tr, rr, fr = w, x, step.copy(), t1, rho, f
         for _ in range(25):
-            if pending.size == n:  # every problem takes the same trial step
-                w2 = _simplex_proj(w - s * x)
-                lam2, u2 = np.linalg.eigh(_group_mixtures(groups, w2))
-                f2 = _rel_ent_bits(t1, rho, lam2, u2)
-                ok = f2 < f - 1e-13
-                if ok.all():
-                    w, f, lam, u, step = w2, f2, lam2, u2, np.minimum(s * 1.5, 20.0)
-                    moved[:] = True
-                    break
-            else:
-                w2 = _simplex_proj(w[pending] - s[pending] * x[pending])
-                lam2, u2 = np.linalg.eigh(_group_mixtures(groups, w2, pending))
-                f2 = _rel_ent_bits(t1[pending], rho[pending], lam2, u2)
-                ok = f2 < f[pending] - 1e-13
-            if ok.any():
-                acc = pending[ok]
-                w[acc], f[acc], lam[acc], u[acc] = w2[ok], f2[ok], lam2[ok], u2[ok]
-                step[acc] = np.minimum(s[acc] * 1.5, 20.0)
-                moved[acc] = True
-                pending = pending[~ok]
-                if not pending.size:
-                    break
-            s *= 0.4  # only the pending problems' entries are read again
-        active = np.flatnonzero(moved)
+            w2 = _simplex_proj(wr - sr * xr)
+            lam2, u2 = np.linalg.eigh(_group_mixtures(sub, w2))
+            f2 = _rel_ent_bits(tr, rr, lam2, u2)
+            ok = pending & (f2 < fr - 1e-13)
+            acc = rows[ok]
+            w[acc], f[acc], lam[acc], u[acc] = w2[ok], f2[ok], lam2[ok], u2[ok]
+            step[acc] = np.minimum(sr[ok] * 1.5, 20.0)
+            pending &= ~ok
+            if not pending.any():
+                break
+            if ok.any():  # go on with the rows still backtracking
+                rows, sub = rows[pending], _select_groups(groups, rows[pending])
+                wr, xr, sr, tr, rr, fr = (a[pending] for a in (wr, xr, sr, tr, rr, fr))
+                pending = np.ones(rows.size, dtype=bool)
+            sr = sr * 0.4
+        going[rows[pending]] = False
     for i, size, row in zip(order, sizes, w):
         ens[i].w = row[:size]
     back = np.argsort(order)
@@ -682,11 +676,11 @@ def ree_many(
 
     This is the only REE engine. Problems of equal total dimension run
     each optimizer stage together on (n, d, d) stacks, and a problem that
-    has finished a stage drops out of the stack. Each problem keeps its
-    own generator seeded with `config.seed` and its own order of draws,
-    and stacked linear algebra gives the same bits per matrix as single
-    calls, so every result is bit-identical to a call with that state
-    alone, whatever else is in the batch.
+    has finished a stage drops out of the stack or is masked out. Each
+    problem keeps its own generator seeded with `config.seed` and its own
+    order of draws, and stacked linear algebra gives the same bits per
+    matrix as single calls, so every result is bit-identical to a call
+    with that state alone, whatever else is in the batch.
 
     Parameters
     ----------
@@ -834,15 +828,13 @@ def _dephase_axis(mat: np.ndarray, dims: tuple[int, ...], k: int, basis: np.ndar
     return rot_back @ out @ _dag(rot_back)
 
 
-def _entropy_bits(mat: np.ndarray):
-    """von Neumann entropy in bits; a stack of matrices gives a list."""
-
-    def entropy(w):
+def _entropy_bits(mats: np.ndarray) -> np.ndarray:
+    """von Neumann entropy in bits of each matrix of an (n, d, d) stack."""
+    out = []
+    for w in np.linalg.eigvalsh(mats):
         w = w[w > 1e-12]
-        return float(-np.dot(w, np.log2(w)))
-
-    spectra = np.linalg.eigvalsh(mat)
-    return entropy(spectra) if spectra.ndim == 1 else [entropy(w) for w in spectra]
+        out.append(-np.dot(w, np.log2(w)))
+    return np.array(out)
 
 
 def _qubit_basis(theta: float, phi: float) -> np.ndarray:
@@ -886,11 +878,11 @@ def discord_deficit(
         raise ValueError(f"measured dimension {d} exceeds {MAX_MEASURED_DIM}")
     dims = rho.dims.dims
     mat = rho.data
-    s0 = _entropy_bits(mat)
+    s0 = _entropy_bits(mat[None])[0]
 
     def deficit_qubit(angles) -> float:
         theta, phi = angles
-        return _entropy_bits(_dephase_axis(mat, dims, k, _qubit_basis(theta, phi))) - s0
+        return _entropy_bits(_dephase_axis(mat, dims, k, _qubit_basis(theta, phi))[None])[0] - s0
 
     if d == 2:
         best, best_angles = math.inf, (0.0, 0.0)
@@ -912,7 +904,7 @@ def discord_deficit(
             },
         )
         best = min(best, float(res.fun))
-        return max(0.0, best)
+        return float(max(0.0, best))
 
     # measured qutrit/ququart: multi-start over unitary generators
     rng = np.random.default_rng(cfg.seed)
@@ -920,7 +912,7 @@ def discord_deficit(
 
     def deficit_unitary(params) -> float:
         u = _unitary_from_params(np.asarray(params), d)
-        return _entropy_bits(_dephase_axis(mat, dims, k, u)) - s0
+        return _entropy_bits(_dephase_axis(mat, dims, k, u)[None])[0] - s0
 
     best = math.inf
     starts = [np.zeros(n_par)]  # identity start: computational basis
@@ -933,7 +925,7 @@ def discord_deficit(
             options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 6 * cfg.refine_maxiter},
         )
         best = min(best, float(res.fun))
-    return max(0.0, best)
+    return float(max(0.0, best))
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .measures import (
     DiscordConfig,
     ReeConfig,
     discord_deficit,
+    ree,
     ree_many,
 )
 
@@ -459,12 +460,9 @@ def theorem_property_suite(
             scenario = _classical_trial(rng, with_jumps)
             runs.append((with_jumps, scenario,
                          _states_at_times(scenario, scenario.rho0, scenario.sample_times)))
-    # every trial's brackets in two lockstep calls: all A:BC states, then
-    # the A:B marginals at each trial's final time
+    # every trial's A:BC brackets in one lockstep call
     abc = [rho_t for *_, states in runs for rho_t in states]
-    ab = [partial_trace(states[-1], ("A", "B")) for *_, states in runs]
     e_abc = iter(ree_many(abc, [Bipartition(("A",), ("B", "C"))] * len(abc), cfg))
-    e_ab = iter(ree_many(ab, [Bipartition(("A",), ("B",))] * len(ab), cfg))
 
     for with_jumps, scenario, states in runs:
         if with_jumps:
@@ -499,8 +497,11 @@ def theorem_property_suite(
                         f"vs t={times[j]:.6g}"
                     )
 
-        # chain inequality at the final time against the start
-        r_ab = next(e_ab)
+        # chain inequality at the final time against the start. The A:B
+        # marginal is a 2x2 problem, cheap on its own; its direct `ree` call
+        # keeps a per-call REE span in the benchmark's layer trace
+        # (bench/spans.py), which does not see inside `ree_many`.
+        r_ab = ree(partial_trace(states[-1], ("A", "B")), Bipartition(("A",), ("B",)), cfg)
         w_ab = r_ab.value - r_ab.lower_bound
         w_tau = brackets[-1][1] - brackets[-1][0]
         w_0 = brackets[0][1] - brackets[0][0]
