@@ -65,11 +65,10 @@ _REE_FLAGS = (
 )
 
 
-def _ree_config(args) -> ReeConfig:
-    """The REE budgets the flags ask for; a value the config rejects is a
-    usage error that names its flag."""
-    cfg = ReeConfig()
-    for flag, attr, field in _REE_FLAGS:
+def _ree_config(args, cfg: ReeConfig, flags=_REE_FLAGS) -> ReeConfig:
+    """`cfg` with each field that a given flag overrides replaced; a value
+    the config rejects is a usage error that names its flag."""
+    for flag, attr, field in flags:
         value = getattr(args, attr)
         if value is not None:
             try:
@@ -106,10 +105,6 @@ def _load_params(path: str | None) -> gaussian.OptomechParams:
         raise UsageError(f"bad parameter file {path}: {exc}") from None
 
 
-def _report_payload(report: protocol.DetectionReport, fmt: str) -> str:
-    return report.to_csv() if fmt == "csv" else report.to_json()
-
-
 def _detection_summary(report: protocol.DetectionReport) -> str:
     return (
         f"scenario={report.scenario} verdict={report.verdict} "
@@ -122,49 +117,19 @@ def _detection_summary(report: protocol.DetectionReport) -> str:
 # command handlers
 
 
-def _cmd_named_scenario(args, builder, runner) -> int:
+def _cmd_detection(args) -> int:
     fmt = _resolve_format(args, "json", ("csv", "json"))
-    scenario = builder(args.times)
-    report = runner(scenario, _ree_config(args), _discord_config(args))
+    scenario = args.source(args)
+    report = args.runner(scenario, _ree_config(args, ReeConfig()), _discord_config(args))
     print(_detection_summary(report))
-    _write_out(args, _report_payload(report, fmt))
-    return 0
-
-
-def _cmd_gain_example(args) -> int:
-    return _cmd_named_scenario(args, protocol.scenario_gain_example,
-                               protocol.run_detection)
-
-
-def _cmd_counterexample(args) -> int:
-    return _cmd_named_scenario(args, protocol.scenario_counterexample,
-                               protocol.run_detection)
-
-
-def _cmd_detect(args) -> int:
-    fmt = _resolve_format(args, "json", ("csv", "json"))
-    report = protocol.run_detection(_load_scenario(args.scenario),
-                                    _ree_config(args), _discord_config(args))
-    print(_detection_summary(report))
-    _write_out(args, _report_payload(report, fmt))
-    return 0
-
-
-def _cmd_sec_detect(args) -> int:
-    fmt = _resolve_format(args, "json", ("csv", "json"))
-    report = protocol.sec_detection(_load_scenario(args.scenario),
-                                    _ree_config(args), _discord_config(args))
-    print(_detection_summary(report))
-    _write_out(args, _report_payload(report, fmt))
+    _write_out(args, report.to_csv() if fmt == "csv" else report.to_json())
     return 0
 
 
 def _cmd_theorem_suite(args) -> int:
     _resolve_format(args, "json", ("json",))
-    ree_cfg = None
-    if args.gap_tol is not None or args.bracket_tol is not None \
-            or args.ree_max_iter is not None:
-        ree_cfg = _ree_config(args)
+    # all flags but --seed: it draws the trials, the optimizer keeps its own seed
+    ree_cfg = _ree_config(args, protocol.SUITE_REE_CONFIG, _REE_FLAGS[1:])
     report = protocol.theorem_property_suite(args.seed, args.trials,
                                              ree_config=ree_cfg)
     print(
@@ -191,6 +156,12 @@ def _transient_summary(bench: gaussian.TransientBenchmark) -> str:
     )
 
 
+def _samples(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
+
+
 def _cmd_optomech_dynamics(args) -> int:
     _resolve_format(args, "csv", ("csv",))
     params = _load_params(args.params)
@@ -200,7 +171,7 @@ def _cmd_optomech_dynamics(args) -> int:
         params = replace(params, detuning_b=args.delta_b_omega_c * params.omega_c)
     t_max = args.t_max_omega_c / params.omega_c
     bench = gaussian.reproduce_fig4((params.power_b,), params=params,
-                                    t_max=t_max, n_samples=args.samples)
+                                    t_max=t_max, n_samples=_samples(args))
     print(_transient_summary(bench))
     _write_out(args, bench.to_csv())
     return 0
@@ -214,7 +185,7 @@ def _cmd_fig4(args) -> int:
         powers = gaussian.FIG4_POWERS_B_W
     t_max = None if args.t_max_omega_c is None else \
         args.t_max_omega_c / gaussian.OptomechParams.membrane_defaults().omega_c
-    bench = gaussian.reproduce_fig4(powers, t_max=t_max, n_samples=args.samples)
+    bench = gaussian.reproduce_fig4(powers, t_max=t_max, n_samples=_samples(args))
     print(_transient_summary(bench))
     _write_out(args, bench.to_csv())
     return 0
@@ -273,7 +244,8 @@ def _add_output_flags(sub, formats=("csv", "json")) -> None:
 def _add_detection_flags(sub) -> None:
     _add_output_flags(sub)
     sub.add_argument("--seed", type=int, default=0,
-                     help="seed for the optimizer restarts (default 0)")
+                     help="seed for the optimizer restarts; in theorem-suite, "
+                          "for the random trials (default 0)")
     sub.add_argument("--gap-tol", type=float, default=None,
                      help="override the REE convergence gap target")
     sub.add_argument("--bracket-tol", type=float, default=None,
@@ -295,25 +267,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=int, default=5,
                    help="number of sample times across the drive window (default 5)")
     _add_detection_flags(p)
-    p.set_defaults(handler=_cmd_gain_example)
+    p.set_defaults(handler=_cmd_detection, runner=protocol.run_detection,
+                   source=lambda a: protocol.scenario_gain_example(a.times))
 
     p = sub.add_parser("counterexample",
                        help="discord-free mediator whose probes stay separable")
     p.add_argument("--times", type=int, default=20,
                    help="number of sample times (default 20)")
     _add_detection_flags(p)
-    p.set_defaults(handler=_cmd_counterexample)
+    p.set_defaults(handler=_cmd_detection, runner=protocol.run_detection,
+                   source=lambda a: protocol.scenario_counterexample(a.times))
 
     p = sub.add_parser("detect", help="run the full pipeline on a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     _add_detection_flags(p)
-    p.set_defaults(handler=_cmd_detect)
+    p.set_defaults(handler=_cmd_detection, runner=protocol.run_detection,
+                   source=lambda a: _load_scenario(a.scenario))
 
     p = sub.add_parser("sec-detect",
                        help="pipeline without the breaking step (flags correlations)")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     _add_detection_flags(p)
-    p.set_defaults(handler=_cmd_sec_detect)
+    p.set_defaults(handler=_cmd_detection, runner=protocol.sec_detection,
+                   source=lambda a: _load_scenario(a.scenario))
 
     p = sub.add_parser("theorem-suite",
                        help="randomized no-gain property test on classical mediators")

@@ -28,8 +28,6 @@ ORTHONORMALITY_TOL = 1e-10
 # Spectral cutoff for 0 * log 0 in entropies.
 ENTROPY_CUTOFF = 1e-12
 
-_LOG2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class SystemDims:
@@ -213,12 +211,20 @@ def partial_transpose(rho: DensityMatrix, subsystem: str) -> np.ndarray:
     return t.reshape(rho.dims.total, rho.dims.total)
 
 
+def entropy_bits(mats: np.ndarray) -> np.ndarray:
+    """von Neumann entropy in bits of each matrix of an (n, d, d) stack,
+    over eigenvalues above 1e-12."""
+    out = []
+    for w in np.linalg.eigvalsh(mats):
+        w = w[w > ENTROPY_CUTOFF]
+        out.append(-np.dot(w, np.log2(w)))
+    return np.array(out)
+
+
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """S(rho) = -sum lam log2 lam, in bits, over eigenvalues above 1e-12."""
     m = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    lam = np.linalg.eigvalsh(m)
-    lam = lam[lam > ENTROPY_CUTOFF]
-    return float(max(0.0, -np.dot(lam, np.log2(lam))))
+    return max(0.0, float(entropy_bits(m[None])[0]))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -248,6 +254,30 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return max(0.0, term_r - term_s)
 
 
+def _dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def dephase_axis(mat: np.ndarray, dims: tuple[int, ...], k: int, basis: np.ndarray) -> np.ndarray:
+    """Dephase subsystem k of a raw matrix in the basis given by `basis` columns.
+
+    A stack of bases gives the stack of dephased matrices. No checks: the
+    caller passes a unitary of the subsystem's dimension.
+    """
+    pre = int(np.prod(dims[:k], initial=1))
+    d = dims[k]
+    post = int(np.prod(dims[k + 1 :], initial=1))
+    rot = np.kron(np.kron(np.eye(pre), _dag(basis)), np.eye(post))
+    t = (rot @ mat @ _dag(rot)).reshape(*rot.shape[:-2], pre, d, post, pre, d, post)
+    out = np.zeros_like(t)
+    for c in range(d):
+        out[..., c, :, :, c, :] = t[..., c, :, :, c, :]
+    out = out.reshape(rot.shape)
+    rot_back = np.kron(np.kron(np.eye(pre), basis), np.eye(post))
+    return rot_back @ out @ _dag(rot_back)
+
+
 def dephase(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
     """Projective measurement with unread outcomes on one subsystem.
 
@@ -263,13 +293,8 @@ def dephase(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
         )
     if len(basis.vectors) != d_k:
         raise ValueError("basis must span the subsystem to define a channel")
-    d_left = int(np.prod(rho.dims.dims[:k], initial=1))
-    d_right = int(np.prod(rho.dims.dims[k + 1 :], initial=1))
-    out = np.zeros_like(rho.data)
-    for v in basis.vectors:
-        proj = kron(np.eye(d_left), np.outer(v, v.conj()), np.eye(d_right))
-        out = out + proj @ rho.data @ proj
-    return DensityMatrix(out, rho.dims)
+    columns = np.array(basis.vectors).T
+    return DensityMatrix(dephase_axis(rho.data, rho.dims.dims, k, columns), rho.dims)
 
 
 def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -504,23 +502,24 @@ def propagate_covariance(v0: CovarianceState, model: DriftDiffusion,
         raise ValueError(f"state dim {v0.v.shape[0]} does not match drift {model.dim}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
-    count = max(1, n_samples)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     n = model.dim
     eye = np.eye(n)
     gen = np.zeros((n * n + 1, n * n + 1))
     gen[:-1, :-1] = np.kron(model.k, eye) + np.kron(eye, model.k)
     gen[:-1, -1] = model.d.reshape(-1)
-    step = expm(gen * (t_end / count))
+    step = expm(gen * (t_end / n_samples))
 
     x = np.append(v0.v.reshape(-1), 1.0)
     times = [0.0]
     states = [v0]
-    for i in range(1, count + 1):
+    for i in range(1, n_samples + 1):
         x = step @ x
         v = x[:-1].reshape(n, n)
         v = 0.5 * (v + v.T)
         x[:-1] = v.reshape(-1)
-        t = t_end * i / count
+        t = t_end * i / n_samples
         try:
             state = CovarianceState(v, v0.mode_labels)
         except ValueError as exc:
@@ -667,16 +666,6 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("NONCLASSICALITY_THREADS", "").strip()
-    if raw:
-        count = int(raw)
-        if count < 1:
-            raise ValueError(f"NONCLASSICALITY_THREADS must be >= 1, got {raw!r}")
-        return count
-    return min(8, os.cpu_count() or 1)
-
-
 def _sweep_point(base: OptomechParams, power_b: float,
                  detuning_b: float) -> SweepPoint:
     p = replace(base, power_b=power_b, detuning_b=detuning_b)
@@ -697,9 +686,8 @@ def sweep_steady_state(params: OptomechParams | None = None,
     Defaults to the 40x40 grid P_b in (0, 100] mW by detuning_b in
     [-2, 2] * omega_c at the standard workpoint. Instability is data, not
     an error: unstable points carry NaN entanglement and stable=False.
-    Points are independent and run on a thread pool sized by the
-    NONCLASSICALITY_THREADS environment variable; output order is grid
-    order (power-major) regardless of scheduling.
+    Points are independent and computed in one loop, in grid order
+    (power-major).
     """
     base = OptomechParams.membrane_defaults() if params is None else params
     if powers_b is None:
@@ -709,6 +697,4 @@ def sweep_steady_state(params: OptomechParams | None = None,
     grid = [(float(pw), float(det)) for pw in powers_b for det in detunings_b]
     if not grid:
         raise ValueError("empty sweep grid")
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        points = list(pool.map(lambda pd: _sweep_point(base, *pd), grid))
-    return SweepTable(base, tuple(points))
+    return SweepTable(base, tuple(_sweep_point(base, pw, det) for pw, det in grid))

@@ -38,6 +38,9 @@ from scipy.optimize import minimize
 from .core import (
     DensityMatrix,
     SystemDims,
+    _dag,
+    dephase_axis,
+    entropy_bits,
     partial_trace,
     von_neumann_entropy,
 )
@@ -104,11 +107,6 @@ def _unpermute(mat: np.ndarray, dims: SystemDims, perm: list[int]) -> np.ndarray
     t = mat.reshape(permuted_dims + permuted_dims)
     t = np.transpose(t, inv + [i + n for i in inv])
     return np.ascontiguousarray(t.reshape(dims.total, dims.total))
-
-
-def _dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix of a stack."""
-    return m.conj().swapaxes(-1, -2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -810,33 +808,6 @@ class DiscordConfig:
         _check_counts(self, ("grid", "seed", "refine_maxiter", "unitary_starts"))
 
 
-def _dephase_axis(mat: np.ndarray, dims: tuple[int, ...], k: int, basis: np.ndarray) -> np.ndarray:
-    """Dephase subsystem k in the orthonormal basis given by `basis` columns.
-
-    A stack of bases gives the stack of dephased matrices.
-    """
-    pre = int(np.prod(dims[:k], initial=1))
-    d = dims[k]
-    post = int(np.prod(dims[k + 1 :], initial=1))
-    rot = np.kron(np.kron(np.eye(pre), _dag(basis)), np.eye(post))
-    t = (rot @ mat @ _dag(rot)).reshape(*rot.shape[:-2], pre, d, post, pre, d, post)
-    out = np.zeros_like(t)
-    for c in range(d):
-        out[..., c, :, :, c, :] = t[..., c, :, :, c, :]
-    out = out.reshape(rot.shape)
-    rot_back = np.kron(np.kron(np.eye(pre), basis), np.eye(post))
-    return rot_back @ out @ _dag(rot_back)
-
-
-def _entropy_bits(mats: np.ndarray) -> np.ndarray:
-    """von Neumann entropy in bits of each matrix of an (n, d, d) stack."""
-    out = []
-    for w in np.linalg.eigvalsh(mats):
-        w = w[w > 1e-12]
-        out.append(-np.dot(w, np.log2(w)))
-    return np.array(out)
-
-
 def _qubit_basis(theta: float, phi: float) -> np.ndarray:
     """Columns are the Bloch basis at polar angle theta, azimuth phi."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -878,11 +849,11 @@ def discord_deficit(
         raise ValueError(f"measured dimension {d} exceeds {MAX_MEASURED_DIM}")
     dims = rho.dims.dims
     mat = rho.data
-    s0 = _entropy_bits(mat[None])[0]
+    s0 = entropy_bits(mat[None])[0]
 
     def deficit_qubit(angles) -> float:
         theta, phi = angles
-        return _entropy_bits(_dephase_axis(mat, dims, k, _qubit_basis(theta, phi))[None])[0] - s0
+        return entropy_bits(dephase_axis(mat, dims, k, _qubit_basis(theta, phi))[None])[0] - s0
 
     if d == 2:
         best, best_angles = math.inf, (0.0, 0.0)
@@ -890,7 +861,7 @@ def discord_deficit(
                 for phi in np.linspace(0.0, 2 * np.pi, cfg.grid, endpoint=False)]
         if grid:  # the whole grid in one stacked eigvalsh
             bases = np.array([_qubit_basis(theta, phi) for theta, phi in grid])
-            for angles, s in zip(grid, _entropy_bits(_dephase_axis(mat, dims, k, bases))):
+            for angles, s in zip(grid, entropy_bits(dephase_axis(mat, dims, k, bases))):
                 if s - s0 < best:
                     best, best_angles = s - s0, angles
         res = minimize(
@@ -912,7 +883,7 @@ def discord_deficit(
 
     def deficit_unitary(params) -> float:
         u = _unitary_from_params(np.asarray(params), d)
-        return _entropy_bits(_dephase_axis(mat, dims, k, u)[None])[0] - s0
+        return entropy_bits(dephase_axis(mat, dims, k, u)[None])[0] - s0
 
     best = math.inf
     starts = [np.zeros(n_par)]  # identity start: computational basis

@@ -1,13 +1,19 @@
 """Command-line entry: exit codes, file output, summary lines."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nonclassicality.cli import main
 from nonclassicality.core import DensityMatrix, SystemDims
-from nonclassicality.protocol import TripartiteScenario, save_scenario
+from nonclassicality.protocol import (
+    SUITE_REE_CONFIG,
+    TripartiteScenario,
+    save_scenario,
+    theorem_property_suite,
+)
 
 TRIPLE = SystemDims((2, 2, 2), ("A", "B", "C"))
 
@@ -142,6 +148,15 @@ class TestTheoremSuiteCommand:
         assert payload["passed"] is True
         assert payload["failures"] == []
 
+    def test_override_flag_keeps_the_suite_budget(self, tmp_path, capsys):
+        out = tmp_path / "suite.json"
+        assert main(["theorem-suite", "--trials", "1", "--seed", "7",
+                     "--gap-tol", "0.002", "--out", str(out)]) == 0
+        capsys.readouterr()
+        cfg = replace(SUITE_REE_CONFIG, gap_tol=0.002)
+        expected = theorem_property_suite(7, 1, ree_config=cfg).to_json() + "\n"
+        assert out.read_text() == expected
+
     def test_zero_trials_is_computation_error(self, capsys):
         assert main(["theorem-suite", "--trials", "0"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -192,6 +207,15 @@ class TestOptomechCommands:
         assert main(argv + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--pb-mw", "40", "--samples", "0", "--t-max-omega-c", "5"],
+        ["optomech-dynamics", "--samples", "-4", "--t-max-omega-c", "5"],
+    ])
+    def test_non_positive_samples_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--samples" in err
 
     def test_sweep_small_grid(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -266,6 +266,39 @@ class TestDephase:
             dephase(rho, partial)
 
 
+class TestDephaseOracle:
+    """`dephase` against the projector sum written out on the full space."""
+
+    @staticmethod
+    def projector_sum(rho, basis):
+        dims = rho.dims.dims
+        k = rho.dims.index(basis.subsystem)
+        left = np.eye(int(np.prod(dims[:k])))
+        right = np.eye(int(np.prod(dims[k + 1:])))
+        out = np.zeros_like(rho.data)
+        for v in basis.vectors:
+            proj = np.kron(np.kron(left, np.outer(v, v.conj())), right)
+            out += proj @ rho.data @ proj
+        return out
+
+    def test_random_bases_on_a_qutrit_mediator_state(self):
+        rng = np.random.default_rng(11)
+        rho = dm(wishart_state(12, rng), (2, 2, 3), ("A", "B", "C"))
+        for _ in range(3):
+            for label, d in zip("ABC", (2, 2, 3)):
+                basis = MeasurementBasis(label, tuple(random_unitary(d, rng).T))
+                got = dephase(rho, basis).data
+                assert np.max(np.abs(got - self.projector_sum(rho, basis))) < 1e-14
+
+    def test_computational_bases_are_bit_equal(self):
+        rng = np.random.default_rng(12)
+        for rank in (1, 2, 12):
+            rho = dm(wishart_state(12, rng, rank), (2, 2, 3), ("A", "B", "C"))
+            for label, d in zip("ABC", (2, 2, 3)):
+                basis = MeasurementBasis.computational(label, d)
+                assert np.array_equal(dephase(rho, basis).data, self.projector_sum(rho, basis))
+
+
 class TestHermitianExp:
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(2)

@@ -26,7 +26,6 @@ from nonclassicality.gaussian import (
     sweep_steady_state,
     symplectic_eigenvalues,
 )
-from nonclassicality.gaussian import _worker_count
 
 HBAR = 1.054571817e-34
 C_LIGHT = 299792458.0
@@ -329,6 +328,9 @@ class TestPropagate:
             propagate_covariance(vacuum(1), model, 0.0)
         with pytest.raises(ValueError, match="dim"):
             propagate_covariance(vacuum(2), model, 1.0)
+        for n_samples in (0, -4):
+            with pytest.raises(ValueError, match="n_samples"):
+                propagate_covariance(vacuum(1), model, 1.0, n_samples=n_samples)
 
     def test_matches_closed_form_on_stable_drifts(self):
         # V(t) = V_s + e^{Kt} (V0 - V_s) e^{K^T t} on random strictly
@@ -470,28 +472,6 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             sweep_steady_state(powers_b=(), detunings_b=(1.0,))
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("NONCLASSICALITY_THREADS", "3")
-        assert _worker_count() == 3
-        monkeypatch.setenv("NONCLASSICALITY_THREADS", "0")
-        with pytest.raises(ValueError, match="NONCLASSICALITY_THREADS"):
-            _worker_count()
-        monkeypatch.setenv("NONCLASSICALITY_THREADS", "many")
-        with pytest.raises(ValueError):
-            _worker_count()
-        monkeypatch.delenv("NONCLASSICALITY_THREADS")
-        assert _worker_count() >= 1
-
-    def test_output_independent_of_thread_count(self, monkeypatch):
-        p = OptomechParams.membrane_defaults()
-        grids = dict(powers_b=(20e-3, 40e-3, 60e-3),
-                     detunings_b=(-p.omega_c, 0.25 * p.omega_c))
-        monkeypatch.setenv("NONCLASSICALITY_THREADS", "1")
-        serial = sweep_steady_state(**grids).to_csv()
-        monkeypatch.setenv("NONCLASSICALITY_THREADS", "4")
-        threaded = sweep_steady_state(**grids).to_csv()
-        assert serial == threaded
 
 
 class TestInitialCovariance:

@@ -85,6 +85,46 @@ class TestScenarioValidation:
         assert make(jumps=(("C", SZ, 0.1),)).is_open
 
 
+class TestLocalityCheck:
+    """h_ac may act on B, and h_bc on A, only as a multiple of the identity."""
+
+    @staticmethod
+    def scenario(d_c, h_ac, h_bc):
+        dims = SystemDims((2, 2, d_c), ("A", "B", "C"))
+        return TripartiteScenario(
+            name="locality",
+            rho0=DensityMatrix(np.eye(4 * d_c) / (4 * d_c), dims),
+            h_ac=h_ac,
+            h_bc=h_bc,
+        )
+
+    @staticmethod
+    def mediator_op(d_c):
+        rng = np.random.default_rng(d_c)
+        g = rng.normal(size=(d_c, d_c)) + 1j * rng.normal(size=(d_c, d_c))
+        return g + g.conj().T
+
+    @pytest.mark.parametrize("d_c", [2, 3])
+    def test_sigma_z_on_b_in_h_ac_rejected(self, d_c):
+        g = self.mediator_op(d_c)
+        h_ac = kron(SX, I2, g) + 0.5 * kron(I2, SZ, g)
+        with pytest.raises(ValueError, match="h_ac must act as identity on probe B"):
+            self.scenario(d_c, h_ac, kron(I2, SX, g))
+
+    @pytest.mark.parametrize("d_c", [2, 3])
+    def test_term_on_a_in_h_bc_rejected(self, d_c):
+        g = self.mediator_op(d_c)
+        h_bc = kron(I2, SX, g) + 1e-6 * kron(SY, I2, np.eye(d_c))
+        with pytest.raises(ValueError, match="h_bc must act as identity on probe A"):
+            self.scenario(d_c, kron(SX, I2, g), h_bc)
+
+    @pytest.mark.parametrize("d_c", [2, 3])
+    def test_scalar_multiple_of_identity_accepted(self, d_c):
+        g = self.mediator_op(d_c)
+        s = self.scenario(d_c, kron(SX, 2.5 * I2, g), kron(-0.7 * I2, SZ, g))
+        np.testing.assert_array_equal(s.h_ac, kron(SX, 2.5 * I2, g))
+
+
 class TestNamedScenarios:
     def test_gain_example_layout(self):
         s = scenario_gain_example(5)
