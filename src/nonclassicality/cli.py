@@ -128,6 +128,8 @@ def _cmd_detection(args) -> int:
 
 def _cmd_theorem_suite(args) -> int:
     _resolve_format(args, "json", ("json",))
+    if args.seed < 0:
+        raise UsageError(f"--seed: seed must be a non-negative integer, got {args.seed}")
     # all flags but --seed: it draws the trials, the optimizer keeps its own seed
     ree_cfg = _ree_config(args, protocol.SUITE_REE_CONFIG, _REE_FLAGS[1:])
     report = protocol.theorem_property_suite(args.seed, args.trials,

@@ -114,18 +114,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def marginal(self, *keep: str) -> "DensityMatrix":
-        return partial_trace(self, keep)
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, dims: SystemDims) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).ravel()
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise ValueError("zero vector")
-        v = v / n
-        return cls(np.outer(v, v.conj()), dims)
-
 
 @dataclass(frozen=True)
 class MeasurementBasis:

@@ -4,9 +4,10 @@ Closed evolution goes through the Hermitian eigendecomposition. The split
 two-interaction propagator alternates the two exponentials, which is how a
 continuous mediated interaction is discretized into short two-body gates.
 The master equation is linear with constant coefficients, so it is solved
-exactly: the Liouvillian superoperator is built once and each distinct
-step length costs one matrix exponential. Step grids are deterministic so
-that repeated runs are bit-identical and golden tests stay meaningful.
+exactly at the requested times: the Liouvillian superoperator is built once
+and each nonzero time costs one matrix exponential applied to the initial
+state. No step grid enters, so repeated runs are bit-identical and golden
+tests stay meaningful.
 
 hbar = 1 throughout.
 """
@@ -14,6 +15,7 @@ hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -25,8 +27,6 @@ from .core import (
     embed_local,
     hermitian_exp,
 )
-
-DEFAULT_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,15 @@ class LindbladModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states at strictly increasing times."""
+    """Density matrices or covariance states at strictly increasing times."""
 
     times: tuple[float, ...]
-    states: tuple[DensityMatrix, ...]
+    states: tuple
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
-        if len(times) != len(self.states):
-            raise ValueError("times and states must have equal length")
+        if not times or len(times) != len(self.states):
+            raise ValueError("times and states must align and be non-empty")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -113,7 +113,7 @@ class Trajectory:
         return iter(zip(self.times, self.states))
 
     @property
-    def final(self) -> DensityMatrix:
+    def final(self):
         return self.states[-1]
 
 
@@ -153,64 +153,33 @@ def trotter_evolve(
 
 
 def evolve_lindblad(
-    rho0: DensityMatrix,
-    model: LindbladModel,
-    t_end: float,
-    dt: float | None = None,
+    rho0: DensityMatrix, model: LindbladModel, times: Sequence[float]
 ) -> Trajectory:
-    """Solve the master equation exactly on a fixed grid, sampling every step.
+    """Exact solution of the master equation at the requested times.
 
-    The Liouvillian is built once and exponentiated once per distinct step
-    length (the uniform dt and, if t_end is not a multiple of it, the
-    shortened last step), so dt sets only where the trajectory is sampled,
-    not how accurate it is.
-
-    Parameters
-    ----------
-    rho0 : DensityMatrix
-        Initial state; dims must match the model.
-    model : LindbladModel
-    t_end : float
-        Final time, > 0.
-    dt : float, optional
-        Sample spacing; defaults to t_end/2000. Must satisfy 0 < dt <= t_end.
-        The last step is shortened so the grid ends exactly at t_end.
-
-    Returns
-    -------
-    Trajectory
-        States at 0, dt, 2 dt, ..., t_end, each validated as a DensityMatrix.
-
-    Raises
-    ------
-    ValueError
-        On mismatched dimensions or a bad t_end or dt.
+    The state at time t is expm(L t) vec(rho0), with the Liouvillian L
+    built once. Every nonzero time gets its own exponential applied to
+    rho0, never a step from the previous sample, so each state carries
+    only its own rounding; a time of 0 returns rho0 itself. Each state is
+    validated as a DensityMatrix. Raises ValueError unless the times are
+    non-empty, non-negative and strictly increasing and the dims of rho0
+    match the model.
     """
     if rho0.dims.dims != model.dims.dims:
         raise ValueError("state and model dimensions do not match")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if dt is None:
-        dt = t_end / DEFAULT_STEPS
-    if dt <= 0 or dt > t_end:
-        raise ValueError("need 0 < dt <= t_end")
-
-    n_full = int(np.floor(t_end / dt + 1e-12))
-    remainder = t_end - n_full * dt
-    steps = [dt] * n_full + ([remainder] if remainder > 1e-12 * t_end else [])
+    times = tuple(float(t) for t in times)
+    if min(times, default=0.0) < 0:
+        raise ValueError("times must be non-negative")
 
     gen = model.liouvillian()
-    propagators = {step: expm(gen * step) for step in set(steps)}
     d = rho0.dim
-    vec = np.array(rho0.data, dtype=complex).reshape(-1)
-    times = [0.0]
-    states = [rho0]
-    t = 0.0
-    for step in steps:
-        rho = (propagators[step] @ vec).reshape(d, d)
+    vec = rho0.data.reshape(-1)
+    states = []
+    for t in times:
+        if t == 0:
+            states.append(rho0)
+            continue
+        rho = (expm(gen * t) @ vec).reshape(d, d)
         rho = 0.5 * (rho + rho.conj().T)  # remove rounding-level anti-Hermitian part
-        vec = rho.reshape(-1)
-        t += step
-        times.append(t)
         states.append(DensityMatrix(rho, rho0.dims))
-    return Trajectory(tuple(times), tuple(states))
+    return Trajectory(times, tuple(states))

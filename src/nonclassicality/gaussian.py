@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.constants import c as _C_LIGHT
@@ -29,12 +29,15 @@ from scipy.constants import hbar as _HBAR
 from scipy.constants import k as _K_B
 from scipy.linalg import expm
 
+from .dynamics import Trajectory
+
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-8        # slack on 2*nu >= 1 at construction
 PAIRING_TOL = 1e-9            # relative tolerance for +/-nu dedup
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 STABILITY_MARGIN = 1e-12
 DERIVATION_RESIDUAL_TOL = 1e-10
+STEADY_TOL = 1e-6             # fig4 tail spread that counts as settled
 
 
 class UnstableDriftError(RuntimeError):
@@ -458,45 +461,28 @@ def initial_covariance(derived: OptomechDerived) -> CovarianceState:
     )
 
 
-@dataclass(frozen=True)
-class GaussianTrajectory:
-    """Time-stamped covariance samples, t=0 first."""
-
-    times: tuple
-    states: tuple
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states) or not self.times:
-            raise ValueError("times and states must align and be non-empty")
-        if any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __iter__(self) -> Iterator:
-        return iter(zip(self.times, self.states))
-
-    @property
-    def final(self) -> CovarianceState:
-        return self.states[-1]
+def _kron_sum(k: np.ndarray) -> np.ndarray:
+    """K kron I + I kron K: vec(K V + V K^T) for row-major vec(V)."""
+    eye = np.eye(k.shape[0])
+    return np.kron(k, eye) + np.kron(eye, k)
 
 
 def propagate_covariance(v0: CovarianceState, model: DriftDiffusion,
-                         t_end: float, n_samples: int = 400) -> GaussianTrajectory:
-    """Exact solution of dV/dt = K V + V K^T + D on a uniform sample grid.
+                         t_end: float, n_samples: int = 400) -> Trajectory:
+    """Exact solution of dV/dt = K V + V K^T + D at n_samples uniform times.
 
     The equation is linear in vec(V): with the constant term appended as
     one more coordinate it reads x' = A x, A = [[K kron I + I kron K,
     vec(D)], [0, 0]] (Van Loan's augmented form). One matrix exponential
-    expm(A h) for the spacing h = t_end / n_samples is the step propagator
-    for every sample, so sample i sits exactly at t_end * i / n_samples.
-    The same path serves stable and unstable drifts.
+    expm(A h) for the spacing h = t_end / n_samples carries each sample to
+    the next, so sample i sits exactly at t_end * i / n_samples. The same
+    path serves stable and unstable drifts.
 
-    Returns the initial state at t=0 plus n_samples states. Each sample is
-    symmetrized and built as a CovarianceState with its full physicality
-    check; an unphysical model (lossy drift with too little diffusion, for
-    one) raises RuntimeError when a sample leaves the physical cone.
+    Returns a dynamics.Trajectory: the initial state at t=0 plus n_samples
+    states. Each sample is symmetrized and built as a CovarianceState with
+    its full physicality check; an unphysical model (lossy drift with too
+    little diffusion, for one) raises RuntimeError when a sample leaves
+    the physical cone.
     """
     if v0.v.shape != model.k.shape:
         raise ValueError(f"state dim {v0.v.shape[0]} does not match drift {model.dim}")
@@ -505,9 +491,8 @@ def propagate_covariance(v0: CovarianceState, model: DriftDiffusion,
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     n = model.dim
-    eye = np.eye(n)
     gen = np.zeros((n * n + 1, n * n + 1))
-    gen[:-1, :-1] = np.kron(model.k, eye) + np.kron(eye, model.k)
+    gen[:-1, :-1] = _kron_sum(model.k)
     gen[:-1, -1] = model.d.reshape(-1)
     step = expm(gen * (t_end / n_samples))
 
@@ -528,7 +513,7 @@ def propagate_covariance(v0: CovarianceState, model: DriftDiffusion,
             ) from None
         times.append(t)
         states.append(state)
-    return GaussianTrajectory(tuple(times), tuple(states))
+    return Trajectory(tuple(times), tuple(states))
 
 
 def lyapunov_steady(model: DriftDiffusion, mode_labels=()) -> CovarianceState:
@@ -543,9 +528,7 @@ def lyapunov_steady(model: DriftDiffusion, mode_labels=()) -> CovarianceState:
     if worst >= -STABILITY_MARGIN:
         raise UnstableDriftError(worst)
     n = model.dim
-    eye = np.eye(n)
-    coeff = np.kron(model.k, eye) + np.kron(eye, model.k)
-    v = np.linalg.solve(coeff, -model.d.reshape(-1)).reshape(n, n)
+    v = np.linalg.solve(_kron_sum(model.k), -model.d.reshape(-1)).reshape(n, n)
     v = 0.5 * (v + v.T)
     residual = float(np.max(np.abs(model.k @ v + v @ model.k.T + model.d)))
     d_scale = float(np.max(np.abs(model.d)))
@@ -579,7 +562,7 @@ class EntanglementSeries:
     times: tuple          # seconds; times[0] == 0
     e_ab: tuple           # nats
     e_abc: tuple
-    reached_steady: bool  # both series varied < steady_tol over the last 10%
+    reached_steady: bool  # both series varied < STEADY_TOL over the last 10%
 
 
 @dataclass(frozen=True)
@@ -599,16 +582,15 @@ class TransientBenchmark:
 
 def reproduce_fig4(powers_b: Sequence = FIG4_POWERS_B_W, *,
                    params: OptomechParams | None = None,
-                   t_max: float | None = None, n_samples: int = 400,
-                   steady_tol: float = 1e-6) -> TransientBenchmark:
+                   t_max: float | None = None, n_samples: int = 400) -> TransientBenchmark:
     """Transient entanglement benchmark at the standard membrane workpoint.
 
     Runs the full pipeline (derive, build, propagate from the
     coherent-field/thermal-membrane start, log negativities per sample)
     for each right-laser power in powers_b. The horizon defaults to
     60/omega_c; whether the series settled is reported per power as
-    reached_steady, judged by the spread of both entanglement series over
-    the last tenth of the window.
+    reached_steady: both entanglement series spread by less than
+    STEADY_TOL over the last tenth of the window.
     """
     base = OptomechParams.membrane_defaults() if params is None else params
     horizon = 60 / base.omega_c if t_max is None else t_max
@@ -627,7 +609,7 @@ def reproduce_fig4(powers_b: Sequence = FIG4_POWERS_B_W, *,
         if len(tail) >= 2:
             spread_ab = max(e_ab[i] for i in tail) - min(e_ab[i] for i in tail)
             spread_abc = max(e_abc[i] for i in tail) - min(e_abc[i] for i in tail)
-            steady = max(spread_ab, spread_abc) < steady_tol
+            steady = max(spread_ab, spread_abc) < STEADY_TOL
         out.append(EntanglementSeries(
             power_b=float(power), omega_c=base.omega_c, times=traj.times,
             e_ab=e_ab, e_abc=e_abc, reached_steady=steady,
@@ -671,9 +653,10 @@ def _sweep_point(base: OptomechParams, power_b: float,
     p = replace(base, power_b=power_b, detuning_b=detuning_b)
     derived = derive_params(p)
     model = build_drift_diffusion(derived, p)
-    if not model.is_stable():
+    try:
+        steady = lyapunov_steady(model, ("a", "b", "c"))
+    except UnstableDriftError:
         return SweepPoint(power_b, detuning_b, False, math.nan, math.nan)
-    steady = lyapunov_steady(model, ("a", "b", "c"))
     e_ab, e_abc = _entanglement_pair(steady)
     return SweepPoint(power_b, detuning_b, True, e_ab, e_abc)
 

@@ -41,6 +41,7 @@ from .core import (
     _dag,
     dephase_axis,
     entropy_bits,
+    hermitian_exp,
     partial_trace,
     von_neumann_entropy,
 )
@@ -826,8 +827,7 @@ def _unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
             h[i, j] = params[k] + 1j * params[k + 1]
             h[j, i] = params[k] - 1j * params[k + 1]
             k += 2
-    lam, u = np.linalg.eigh(h)
-    return (u * np.exp(-1j * lam)) @ u.conj().T
+    return hermitian_exp(h, 1.0)
 
 
 def discord_deficit(

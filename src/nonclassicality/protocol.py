@@ -171,8 +171,7 @@ def _states_at_times(
     if not scenario.is_open:
         return [evolve_closed(rho_start, h, t) for t in times]
     model = LindbladModel(h, scenario.jumps, rho_start.dims)
-    return [evolve_lindblad(rho_start, model, t, dt=t).final if t > 0 else rho_start
-            for t in times]
+    return list(evolve_lindblad(rho_start, model, times).states)
 
 
 def _run_pipeline(

@@ -42,6 +42,7 @@ from nonclassicality.measures import (
     check_relocation_bound,
     purity_criterion,
     ree,
+    ree_many,
     discord_deficit,
 )
 from nonclassicality import protocol
@@ -53,10 +54,6 @@ from nonclassicality.protocol import (
 )
 
 TRIPLE = SystemDims((2, 2, 2), ("A", "B", "C"))
-
-# same budget the randomized property suite runs with
-SUITE_CFG = ReeConfig(max_iter=40, descent_iters=60, dykstra_iters=30,
-                      admm_iters=400)
 
 
 def test_criterion_1_gain_example():
@@ -96,16 +93,17 @@ def test_criterion_2_counterexample():
     scenario = scenario_counterexample(20)
     cfg = ReeConfig()
 
-    worst_value_gap = 0.0
-    max_discord = 0.0
-    for t in scenario.sample_times:
-        rho_t = evolve_closed(scenario.rho0, scenario.hamiltonian, t)
-        max_discord = max(max_discord, discord_deficit(rho_t, "C"))
+    states = [evolve_closed(scenario.rho0, scenario.hamiltonian, t)
+              for t in scenario.sample_times]
+    max_discord = max(discord_deficit(rho_t, "C") for rho_t in states)
 
-        ab = partial_trace(rho_t, ("A", "B"))
+    # every sample time's A:B marginal in one lockstep call
+    marginals = [partial_trace(rho_t, ("A", "B")) for rho_t in states]
+    brackets = ree_many(marginals, [Bipartition(("A",), ("B",))] * len(marginals), cfg)
+    worst_value_gap = 0.0
+    for ab, r in zip(marginals, brackets):
         lam_max = float(np.linalg.eigvalsh(ab.data)[-1])
         closed = 1 - von_neumann_entropy(ab) if lam_max > 0.5 else 0.0
-        r = ree(ab, Bipartition(("A",), ("B",)), cfg)
         worst_value_gap = max(worst_value_gap, abs(r.value - closed))
         assert abs(r.value - closed) <= 3e-2
         # the certified floor must never overshoot the exact value
@@ -146,7 +144,7 @@ def test_criterion_4_relocation_bound():
     for _ in range(100):
         rank = int(rng.integers(1, 9))
         rho = DensityMatrix(wishart_state(8, rng, rank=rank), TRIPLE)
-        report = check_relocation_bound(rho, config=SUITE_CFG)
+        report = check_relocation_bound(rho, config=protocol.SUITE_REE_CONFIG)
         assert report.holds
         converged += report.converged
     elapsed = time.monotonic() - started
@@ -159,18 +157,22 @@ def test_criterion_5_purity_bound_on_classical_trials():
     # replays the criterion-3 generator so the trials are the same ones
     started = time.monotonic()
     rng = np.random.default_rng(7)
-    checked = 0
+    starts, marginals = [], []
     for with_jumps in (False, True):
         for _ in range(50):
             scenario = protocol._classical_trial(rng, with_jumps)
             states = protocol._states_at_times(
                 scenario, scenario.rho0, scenario.sample_times)
             for rho_t in states:
-                ab = partial_trace(rho_t, ("A", "B"))
-                r = ree(ab, Bipartition(("A",), ("B",)), SUITE_CFG)
-                report = purity_criterion(scenario.rho0, r.value)
-                assert not report.detected
-                checked += 1
+                starts.append(scenario.rho0)
+                marginals.append(partial_trace(rho_t, ("A", "B")))
+    # all A:B marginals in one lockstep call
+    brackets = ree_many(marginals, [Bipartition(("A",), ("B",))] * len(marginals),
+                        protocol.SUITE_REE_CONFIG)
+    for rho0, r in zip(starts, brackets):
+        report = purity_criterion(rho0, r.value)
+        assert not report.detected
+    checked = len(brackets)
     elapsed = time.monotonic() - started
     print(f"PASS criterion 5: probe-entropy bound held on {checked} samples "
           f"across 100 classical trials ({elapsed:.1f}s)")

@@ -131,8 +131,10 @@ class TestReeFlags:
         assert "usage error" in err and flag in err
 
     def test_theorem_suite_checks_the_same_flags(self, capsys):
-        assert main(["theorem-suite", "--trials", "1", "--gap-tol", "nan"]) == 2
-        assert "--gap-tol" in capsys.readouterr().err
+        for argv, flag in ((["--gap-tol", "nan"], "--gap-tol"), (["--seed", "-1"], "--seed")):
+            assert main(["theorem-suite", "--trials", "1"] + argv) == 2
+            err = capsys.readouterr().err
+            assert "usage error" in err and flag in err
 
 
 class TestTheoremSuiteCommand:

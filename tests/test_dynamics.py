@@ -94,7 +94,7 @@ class TestEvolveLindblad:
     def test_no_jumps_matches_closed_evolution(self):
         h = np.kron(SX, SX) + 0.3 * np.kron(SZ, I2)
         rho = DensityMatrix(random_state(4, np.random.default_rng(21), rank=2), PAIR)
-        traj = evolve_lindblad(rho, LindbladModel(h, (), PAIR), 1.2)
+        traj = evolve_lindblad(rho, LindbladModel(h, (), PAIR), (1.2,))
         exact = evolve_closed(rho, h, 1.2)
         assert np.max(np.abs(traj.final.data - exact.data)) < 1e-8
 
@@ -102,7 +102,7 @@ class TestEvolveLindblad:
         # jump sz at rate g kills coherence as exp(-2 g t); frozen analytically
         g, t = 0.3, 0.7
         model = LindbladModel(np.zeros((2, 2)), (("A", SZ, g),), QUBIT)
-        out = evolve_lindblad(qubit_plus(), model, t).final
+        out = evolve_lindblad(qubit_plus(), model, (t,)).final
         assert out.data[0, 1].real == pytest.approx(0.5 * np.exp(-2 * g * t), abs=1e-7)
         assert abs(out.data[0, 1].imag) < 1e-9
 
@@ -112,14 +112,14 @@ class TestEvolveLindblad:
         lower = np.array([[0, 1], [0, 0]], dtype=complex)
         g, t = 0.45, 1.3
         model = LindbladModel(np.zeros((2, 2)), (("A", lower, g),), QUBIT)
-        out = evolve_lindblad(rho, model, t).final
+        out = evolve_lindblad(rho, model, (t,)).final
         assert out.data[1, 1].real == pytest.approx(np.exp(-g * t), abs=1e-7)
 
     def test_trace_and_positivity_along_trajectory(self):
         h = np.kron(SX, SZ)
         model = LindbladModel(h, (("A", SZ, 0.2), ("B", SX, 0.1)), PAIR)
         rho = DensityMatrix(random_state(4, np.random.default_rng(22)), PAIR)
-        traj = evolve_lindblad(rho, model, 2.0, dt=2.0 / 400)
+        traj = evolve_lindblad(rho, model, np.linspace(0.0, 2.0, 401))
         assert len(traj) == 401
         for _, state in traj:
             assert np.trace(state.data).real == pytest.approx(1.0, abs=1e-9)
@@ -129,31 +129,25 @@ class TestEvolveLindblad:
         rho = DensityMatrix(np.kron(pure(KET_PLUS, (2,), ("A",)).data,
                                     pure(KET0, (2,), ("B",)).data), PAIR)
         model = LindbladModel(np.zeros((4, 4)), (("A", SZ, 0.8),), PAIR)
-        out = evolve_lindblad(rho, model, 1.0).final
+        out = evolve_lindblad(rho, model, (1.0,)).final
         marginal_b = partial_trace(out, ("B",)).data
         assert np.allclose(marginal_b, np.outer(KET0, KET0.conj()), atol=1e-9)
 
-    def test_step_size_does_not_change_final_state(self):
-        # exact propagation: dt sets the sample grid, not the accuracy
-        rho = pure(KET1, (2,), ("A",))
-        model = LindbladModel(40.0 * SZ, (("A", SX, 30.0),), QUBIT)
-        coarse = evolve_lindblad(rho, model, 5.0, dt=2.5)
-        fine = evolve_lindblad(rho, model, 5.0, dt=5.0 / 2000)
-        assert len(coarse) == 3 and len(fine) == 2001
-        assert np.max(np.abs(coarse.final.data - fine.final.data)) < 1e-10
-
-    def test_shortened_last_step_lands_on_t_end(self):
+    def test_requested_times_are_returned_exactly(self):
         g = 0.3
         model = LindbladModel(np.zeros((2, 2)), (("A", SZ, g),), QUBIT)
-        traj = evolve_lindblad(qubit_plus(), model, 1.0, dt=0.3)
-        assert traj.times == pytest.approx((0.0, 0.3, 0.6, 0.9, 1.0), abs=1e-15)
+        rho = qubit_plus()
+        times = (0.0, 0.3, 0.6, 0.9, 1.0)
+        traj = evolve_lindblad(rho, model, times)
+        assert traj.times == times
+        assert traj.states[0] is rho
         for t, state in traj:
             assert state.data[0, 1].real == pytest.approx(0.5 * np.exp(-2 * g * t), abs=1e-12)
 
     def test_rejects_bad_times(self):
         rho = pure(KET0, (2,), ("A",))
         model = LindbladModel(SZ, (), QUBIT)
-        with pytest.raises(ValueError):
-            evolve_lindblad(rho, model, -1.0)
-        with pytest.raises(ValueError):
-            evolve_lindblad(rho, model, 1.0, dt=2.0)
+        # empty, negative, repeated and decreasing
+        for times in ((), (-1.0,), (0.0, -0.5), (0.5, 0.5), (1.0, 0.5)):
+            with pytest.raises(ValueError):
+                evolve_lindblad(rho, model, times)

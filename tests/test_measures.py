@@ -16,14 +16,12 @@ from nonclassicality.measures import (
     ree,
     ree_bell_diagonal,
 )
+from nonclassicality.protocol import SUITE_REE_CONFIG
 
 from helpers import I2, KET0, KET1, KET_PLUS, KET_MINUS, PHI_PLUS, PSI_PLUS, SX, SZ, dm, pure, random_state, random_unitary
 
 PAIR = SystemDims((2, 2), ("A", "B"))
 TRIPLE = SystemDims((2, 2, 2), ("A", "B", "C"))
-
-# light budgets keep the randomized checks quick; golden values use defaults
-LIGHT = ReeConfig(max_iter=40, descent_iters=60, dykstra_iters=30, admm_iters=400)
 
 
 def bell_pair(vec=PHI_PLUS) -> DensityMatrix:
@@ -99,7 +97,7 @@ class TestRee:
     def test_bracket_orders_and_closest_state_is_valid(self):
         rng = np.random.default_rng(10)
         rho = DensityMatrix(random_state(4, rng, rank=2), PAIR)
-        res = ree(rho, Bipartition(("A",), ("B",)), LIGHT)
+        res = ree(rho, Bipartition(("A",), ("B",)), SUITE_REE_CONFIG)
         assert 0.0 <= res.lower_bound <= res.value + 1e-12
         sigma = res.closest_state
         assert np.trace(sigma.data).real == pytest.approx(1.0, abs=1e-9)
@@ -248,7 +246,7 @@ class TestConfigValidation:
 
 class TestRelocationBound:
     def test_classical_state_holds_with_zero_sides(self):
-        rep = check_relocation_bound(classical_seed_state(), LIGHT)
+        rep = check_relocation_bound(classical_seed_state(), SUITE_REE_CONFIG)
         assert rep.holds
         assert rep.discord < 1e-6
         assert rep.gap <= rep.slack + 1e-9
@@ -258,12 +256,12 @@ class TestRelocationBound:
         for _ in range(3):
             vec = rng.normal(size=8) + 1j * rng.normal(size=8)
             rho = pure(vec, (2, 2, 2), ("A", "B", "C"))
-            rep = check_relocation_bound(rho, LIGHT)
+            rep = check_relocation_bound(rho, SUITE_REE_CONFIG)
             assert rep.holds
 
     def test_needs_three_subsystems(self):
         with pytest.raises(ValueError):
-            check_relocation_bound(bell_pair(), LIGHT)
+            check_relocation_bound(bell_pair(), SUITE_REE_CONFIG)
 
 
 class TestPurityCriterion:

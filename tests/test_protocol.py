@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from nonclassicality.core import DensityMatrix, MeasurementBasis, SystemDims, kron
 from nonclassicality.measures import ReeConfig
 from nonclassicality.protocol import (
+    SUITE_REE_CONFIG,
     TripartiteScenario,
     _states_at_times,
     load_scenario,
@@ -23,8 +24,6 @@ from nonclassicality.protocol import (
 from helpers import I2, SX, SY, SZ, dm, pure
 
 TRIPLE = SystemDims((2, 2, 2), ("A", "B", "C"))
-
-LIGHT = ReeConfig(max_iter=40, descent_iters=60, dykstra_iters=30, admm_iters=400)
 
 
 def mixed_start() -> DensityMatrix:
@@ -156,7 +155,7 @@ class TestRunDetection:
     def test_gain_example_brackets_and_verdict(self):
         # the breaking step removes any probe-probe entanglement, and the
         # mediated coupling never restores it; detection must stay modest
-        rep = run_detection(scenario_gain_example(3), ree_config=LIGHT)
+        rep = run_detection(scenario_gain_example(3), ree_config=SUITE_REE_CONFIG)
         assert rep.verdict == "INCONCLUSIVE"
         assert abs(rep.gain) < 1e-6
         assert rep.times[0] == 0.0
@@ -175,13 +174,13 @@ class TestRunDetection:
         assert max(rep.d_ab_given_c) > 0.5
 
     def test_counterexample_stays_inconclusive(self):
-        rep = run_detection(scenario_counterexample(4), ree_config=LIGHT)
+        rep = run_detection(scenario_counterexample(4), ree_config=SUITE_REE_CONFIG)
         assert rep.verdict == "INCONCLUSIVE"
         assert all(hi <= 2e-2 for _, hi in rep.e_ab)
 
     def test_time_zero_prepended_when_missing(self):
         s = make(sample_times=(0.5,))
-        rep = run_detection(s, ree_config=LIGHT)
+        rep = run_detection(s, ree_config=SUITE_REE_CONFIG)
         assert rep.times[0] == 0.0
         assert rep.times[1] == 0.5
         assert len(rep.e_ab) == len(rep.times)
@@ -191,7 +190,7 @@ class TestRunDetection:
     def test_zero_hamiltonian_gives_constant_brackets(self):
         zero = np.zeros((8, 8))
         s = make(h_ac=zero, h_bc=zero, sample_times=(0.0, 0.3, 0.9))
-        rep = run_detection(s, ree_config=LIGHT)
+        rep = run_detection(s, ree_config=SUITE_REE_CONFIG)
         assert rep.verdict == "INCONCLUSIVE"
         for series in (rep.e_ab, rep.e_abc):
             for lo, hi in series[1:]:
@@ -245,7 +244,7 @@ class TestSecDetection:
     def test_light_budget_degrades_honestly(self):
         # intermediate states need the full budget; starving it must not
         # flip the verdict to a false positive, only to INCONCLUSIVE
-        rep = sec_detection(scenario_counterexample(4), ree_config=LIGHT)
+        rep = sec_detection(scenario_counterexample(4), ree_config=SUITE_REE_CONFIG)
         assert rep.verdict in ("CORRELATED", "INCONCLUSIVE")
         if rep.verdict == "INCONCLUSIVE":
             assert any("not converged" in d for d in rep.diagnostics)
@@ -253,7 +252,7 @@ class TestSecDetection:
 
 class TestReportFormats:
     def test_csv_layout(self):
-        rep = run_detection(make(sample_times=(0.0, 0.4)), ree_config=LIGHT)
+        rep = run_detection(make(sample_times=(0.0, 0.4)), ree_config=SUITE_REE_CONFIG)
         lines = rep.to_csv().splitlines()
         assert lines[0] == "t,e_ab_lo,e_ab_hi,e_abc_lo,e_abc_hi,d_ab_c"
         assert len(lines) == 1 + len(rep.times)
@@ -263,7 +262,7 @@ class TestReportFormats:
         assert rep.to_csv().endswith("\n")
 
     def test_json_round_trips(self):
-        rep = run_detection(make(sample_times=(0.0, 0.4)), ree_config=LIGHT)
+        rep = run_detection(make(sample_times=(0.0, 0.4)), ree_config=SUITE_REE_CONFIG)
         payload = json.loads(rep.to_json())
         assert payload["scenario"] == "unit"
         assert payload["verdict"] == rep.verdict
