@@ -133,7 +133,18 @@ class TestEvolveLindblad:
         marginal_b = partial_trace(out, ("B",)).data
         assert np.allclose(marginal_b, np.outer(KET0, KET0.conj()), atol=1e-9)
 
-    def test_requested_times_are_returned_exactly(self):
+    def test_step_size_does_not_change_final_state(self):
+        # exact propagation: the sample grid sets where states are returned, not their accuracy
+        rho = pure(KET1, (2,), ("A",))
+        model = LindbladModel(40.0 * SZ, (("A", SX, 30.0),), QUBIT)
+        coarse = evolve_lindblad(rho, model, np.linspace(0.0, 5.0, 3))
+        fine = evolve_lindblad(rho, model, np.linspace(0.0, 5.0, 2001))
+        assert len(coarse) == 3 and len(fine) == 2001
+        assert np.max(np.abs(coarse.final.data - fine.final.data)) < 1e-10
+
+    def test_shortened_last_step_lands_on_t_end(self):
+        # the last interval (0.9 -> 1.0) is shorter than the others; every
+        # requested time comes back exactly, t_end included
         g = 0.3
         model = LindbladModel(np.zeros((2, 2)), (("A", SZ, g),), QUBIT)
         rho = qubit_plus()
