@@ -14,6 +14,7 @@ instability where a steady state is required, a failing property suite),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -78,6 +79,18 @@ def _ree_config(args, cfg: ReeConfig, flags=_REE_FLAGS) -> ReeConfig:
     return cfg
 
 
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
+def _positive_finite(value: float, flag: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{flag} must be finite and positive, got {value:g}")
+    return value
+
+
 def _discord_config(args) -> DiscordConfig:
     try:
         return DiscordConfig(seed=args.seed)
@@ -132,7 +145,7 @@ def _cmd_theorem_suite(args) -> int:
         raise UsageError(f"--seed: seed must be a non-negative integer, got {args.seed}")
     # all flags but --seed: it draws the trials, the optimizer keeps its own seed
     ree_cfg = _ree_config(args, protocol.SUITE_REE_CONFIG, _REE_FLAGS[1:])
-    report = protocol.theorem_property_suite(args.seed, args.trials,
+    report = protocol.theorem_property_suite(args.seed, _at_least_one(args.trials, "--trials"),
                                              ree_config=ree_cfg)
     print(
         f"passed={report.passed} closed={report.closed_trials} "
@@ -158,12 +171,6 @@ def _transient_summary(bench: gaussian.TransientBenchmark) -> str:
     )
 
 
-def _samples(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    return args.samples
-
-
 def _cmd_optomech_dynamics(args) -> int:
     _resolve_format(args, "csv", ("csv",))
     params = _load_params(args.params)
@@ -171,9 +178,9 @@ def _cmd_optomech_dynamics(args) -> int:
         params = replace(params, power_b=args.pb_mw * 1e-3)
     if args.delta_b_omega_c is not None:
         params = replace(params, detuning_b=args.delta_b_omega_c * params.omega_c)
-    t_max = args.t_max_omega_c / params.omega_c
-    bench = gaussian.reproduce_fig4((params.power_b,), params=params,
-                                    t_max=t_max, n_samples=_samples(args))
+    t_max = _positive_finite(args.t_max_omega_c, "--t-max-omega-c") / params.omega_c
+    bench = gaussian.reproduce_fig4((params.power_b,), params=params, t_max=t_max,
+                                    n_samples=_at_least_one(args.samples, "--samples"))
     print(_transient_summary(bench))
     _write_out(args, bench.to_csv())
     return 0
@@ -185,9 +192,12 @@ def _cmd_fig4(args) -> int:
         powers = (args.pb_mw * 1e-3,)
     else:
         powers = gaussian.FIG4_POWERS_B_W
-    t_max = None if args.t_max_omega_c is None else \
-        args.t_max_omega_c / gaussian.OptomechParams.membrane_defaults().omega_c
-    bench = gaussian.reproduce_fig4(powers, t_max=t_max, n_samples=_samples(args))
+    t_max = None
+    if args.t_max_omega_c is not None:
+        omega_c = gaussian.OptomechParams.membrane_defaults().omega_c
+        t_max = _positive_finite(args.t_max_omega_c, "--t-max-omega-c") / omega_c
+    bench = gaussian.reproduce_fig4(powers, t_max=t_max,
+                                    n_samples=_at_least_one(args.samples, "--samples"))
     print(_transient_summary(bench))
     _write_out(args, bench.to_csv())
     return 0
@@ -270,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of sample times across the drive window (default 5)")
     _add_detection_flags(p)
     p.set_defaults(handler=_cmd_detection, runner=protocol.run_detection,
-                   source=lambda a: protocol.scenario_gain_example(a.times))
+                   source=lambda a: protocol.scenario_gain_example(
+                       _at_least_one(a.times, "--times")))
 
     p = sub.add_parser("counterexample",
                        help="discord-free mediator whose probes stay separable")
@@ -278,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of sample times (default 20)")
     _add_detection_flags(p)
     p.set_defaults(handler=_cmd_detection, runner=protocol.run_detection,
-                   source=lambda a: protocol.scenario_counterexample(a.times))
+                   source=lambda a: protocol.scenario_counterexample(
+                       _at_least_one(a.times, "--times")))
 
     p = sub.add_parser("detect", help="run the full pipeline on a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")

@@ -2,16 +2,19 @@
 
 import json
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from nonclassicality.cli import main
 from nonclassicality.core import DensityMatrix, SystemDims
+from nonclassicality.gaussian import OptomechParams, save_params
 from nonclassicality.protocol import (
     SUITE_REE_CONFIG,
     TripartiteScenario,
     save_scenario,
+    scenario_counterexample,
     theorem_property_suite,
 )
 
@@ -48,6 +51,20 @@ class TestParsing:
     def test_subcommand_help_exits_clean(self, capsys):
         assert main(["optomech-sweep", "--help"]) == 0
         assert "--pb-mw-min" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gain-example", "--times", "0"], "--times"),
+        (["counterexample", "--times", "-3"], "--times"),
+        (["theorem-suite", "--trials", "0"], "--trials"),
+        # rejected in the flag's units, before it becomes a horizon in seconds
+        (["optomech-dynamics", "--t-max-omega-c", "-1", "--samples", "5"], "--t-max-omega-c"),
+        (["fig4", "--pb-mw", "40", "--t-max-omega-c", "0", "--samples", "5"], "--t-max-omega-c"),
+        (["fig4", "--pb-mw", "40", "--t-max-omega-c", "nan", "--samples", "5"], "--t-max-omega-c"),
+    ])
+    def test_out_of_range_value_is_usage_error_naming_the_flag(self, argv, flag, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err
 
 
 class TestDetectionCommands:
@@ -159,10 +176,6 @@ class TestTheoremSuiteCommand:
         expected = theorem_property_suite(7, 1, ree_config=cfg).to_json() + "\n"
         assert out.read_text() == expected
 
-    def test_zero_trials_is_computation_error(self, capsys):
-        assert main(["theorem-suite", "--trials", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-
     def test_csv_not_offered(self, capsys):
         code = main(["theorem-suite", "--trials", "1", "--format", "csv"])
         assert code == 2
@@ -242,3 +255,45 @@ class TestOptomechCommands:
     def test_fig5_rejects_json(self, capsys):
         assert main(["fig5", "--format", "json"]) == 2
         capsys.readouterr()
+
+
+def _write_gain_report(path):
+    assert main(["gain-example", "--times", "2", "--out", str(path)]) == 0
+
+
+def _write_suite_report(path):
+    assert main(["theorem-suite", "--trials", "1", "--seed", "7", "--out", str(path)]) == 0
+
+
+def _write_scenario(path):
+    # a breaking basis and a jump, so that the optional fields are filled
+    jump = ("C", np.diag([1.0, -1.0]).astype(complex), 0.1)
+    save_scenario(replace(scenario_counterexample(3), jumps=(jump,)), str(path))
+
+
+def _write_params(path):
+    save_params(OptomechParams.membrane_defaults(), str(path))
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("schema, write", [
+        ("detection_report", _write_gain_report),
+        ("theorem_suite_report", _write_suite_report),
+        ("scenario", _write_scenario),
+        ("optomech_params", _write_params),
+    ])
+    def test_output_validates_against_shipped_schema(self, schema, write, tmp_path, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        referencing = pytest.importorskip("referencing")
+        shipped = resources.files("nonclassicality") / "schemas"
+        schemas = {f.name: json.loads(f.read_text()) for f in shipped.iterdir()
+                   if f.name.endswith(".schema.json")}
+        assert len(schemas) == 4
+        # the suite report refers to the scenario schema by its $id
+        registry = referencing.Registry().with_resources(
+            (s["$id"], referencing.Resource.from_contents(s)) for s in schemas.values())
+        path = tmp_path / "out.json"
+        write(path)
+        capsys.readouterr()
+        jsonschema.validate(json.loads(path.read_text()), schemas[f"{schema}.schema.json"],
+                            registry=registry)

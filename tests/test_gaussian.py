@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
 
+import nonclassicality
 from nonclassicality.gaussian import (
     FIG4_POWERS_B_W,
     CovarianceState,
@@ -430,6 +434,22 @@ class TestReproduceFig4:
         assert lines[0] == "P_b_mW,t_s,t_omega_c,E_ab,E_abc"
         assert len(lines) == 1 + len(bench.series[0].times)
         assert lines[1].startswith("60,0,0,")
+
+    def test_does_not_import_scipy_optimize(self):
+        # only the discord search needs it; the CV commands start without it
+        code = (
+            "import sys\n"
+            "from nonclassicality import OptomechParams, reproduce_fig4\n"
+            "reproduce_fig4((60e-3,), t_max=1 / OptomechParams.membrane_defaults().omega_c,"
+            " n_samples=5)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(nonclassicality.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestSweep:

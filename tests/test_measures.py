@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from nonclassicality.core import DensityMatrix, SystemDims, kron, partial_transpose, von_neumann_entropy
+from nonclassicality.core import (
+    DensityMatrix,
+    SystemDims,
+    kron,
+    partial_trace,
+    partial_transpose,
+    von_neumann_entropy,
+)
 from nonclassicality.dynamics import evolve_closed
 from nonclassicality.measures import (
     Bipartition,
@@ -115,6 +122,46 @@ class TestRee:
         rho = bell_pair()
         res = ree(rho, Bipartition((), ("A", "B")))
         assert res.value == 0.0 and res.lower_bound == 0.0 and res.converged
+
+
+# small budgets: the brackets need not be tight, only sound
+ORACLE_BUDGET = ReeConfig(max_iter=8, product_starts=6, product_rounds=8, weight_iters=10,
+                          descent_iters=10, dykstra_iters=10, admm_iters=80)
+
+
+def flagged_pure_state(p, rng) -> tuple[DensityMatrix, float]:
+    """sum_c p_c |psi_c><psi_c|_AB (x) |c><c|_C, then a Haar unitary on C,
+    with its exact A:BC REE sum_c p_c S(tr_B psi_c) in bits.
+
+    The flags sit on the BC side and are orthogonal: measuring them is a
+    local operation there, so REE is the average over the flagged pure
+    states, whose REE is the entropy of either marginal.
+    """
+    dc = len(p)
+    m = np.zeros((4 * dc, 4 * dc), dtype=complex)
+    exact = 0.0
+    for c in range(dc):
+        psi = pure(rng.normal(size=4) + 1j * rng.normal(size=4), (2, 2), ("A", "B"))
+        flag = np.zeros((dc, dc))
+        flag[c, c] = 1.0
+        m += p[c] * np.kron(psi.data, flag)
+        exact += p[c] * von_neumann_entropy(partial_trace(psi, ("A",)))
+    u = np.kron(np.eye(4), random_unitary(dc, rng))
+    return DensityMatrix(u @ m @ u.conj().T, SystemDims((2, 2, dc), ("A", "B", "C"))), exact
+
+
+class TestReeFlaggedPureOracle:
+    # distinct weights make the flagged states the eigenvectors, which the
+    # upper search starts from; equal weights leave it a degenerate
+    # eigenspace, so it starts elsewhere
+    @pytest.mark.parametrize("equal", (False, True))
+    @pytest.mark.parametrize("dc", (2, 3, 4))  # 2x4, 2x6 and 2x8 cuts
+    def test_bracket_contains_exact_value(self, dc, equal):
+        rng = np.random.default_rng(100 * dc + equal)
+        p = np.full(dc, 1.0 / dc) if equal else rng.dirichlet(np.ones(dc))
+        rho, exact = flagged_pure_state(p, rng)
+        res = ree(rho, Bipartition(("A",), ("B", "C")), ORACLE_BUDGET)
+        assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
 
 
 class TestReeBellDiagonal:

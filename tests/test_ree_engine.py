@@ -1,10 +1,14 @@
 """The lockstep REE engine against the single-state engine it replaced.
 
-`reference_ree` is that engine, verbatim. Every field of every result must
-be equal, not close: the engine's output is chaotic in the last bits
+`reference_ree` is that engine, verbatim. The upper search must give equal
+results, not close ones: the engine's output is chaotic in the last bits
 (reassociating one einsum of the product search moved 28 of the 32
 benchmark relocation brackets, one of them wider by 0.12 bits), so only a
-bit-identical engine keeps every bracket where it was.
+bit-identical engine keeps every bracket where it was. The lower bound
+takes the reference's certificate at the descent point and four more
+points, so it may only rise: never above the upper bound, and a bracket
+the reference calls converged stays converged. Within the engine, batched
+and single calls agree on every field.
 """
 
 import numpy as np
@@ -54,6 +58,7 @@ def problems():
 
 
 def assert_same(got, want):
+    """Every field equal: a batch against single calls of this engine."""
     assert got.value == want.value
     assert got.lower_bound == want.lower_bound
     assert got.converged == want.converged
@@ -63,29 +68,48 @@ def assert_same(got, want):
     assert np.array_equal(got.closest_state.data, want.closest_state.data)
 
 
+def assert_matches_reference(got, ref):
+    """The reference's upper search, and a lower bound no lower than its."""
+    assert got.value == ref.value
+    assert got.iterations == ref.iterations
+    assert got.fw_gap == ref.fw_gap
+    assert got.closest_state.dims == ref.closest_state.dims
+    assert np.array_equal(got.closest_state.data, ref.closest_state.data)
+    assert ref.lower_bound <= got.lower_bound <= got.value
+    assert got.converged or not ref.converged
+
+
 @pytest.fixture(scope="module")
 def reference():
     return [reference_ree.ree(rho, part, SMALL) for rho, part in problems()]
 
 
-def test_single_calls_match_reference(reference):
-    for (rho, part), want in zip(problems(), reference):
-        assert_same(ree(rho, part, SMALL), want)
+@pytest.fixture(scope="module")
+def singles():
+    return [ree(rho, part, SMALL) for rho, part in problems()]
 
 
-def test_shuffled_mixed_batch_matches_single_calls(reference):
+def test_single_calls_match_reference(reference, singles):
+    for got, want in zip(singles, reference):
+        assert_matches_reference(got, want)
+
+
+def test_shuffled_mixed_batch_matches_single_calls(singles):
     cases = problems()
     order = np.random.default_rng(5).permutation(len(cases))
     got = ree_many([cases[i][0] for i in order], [cases[i][1] for i in order], SMALL)
     for i, result in zip(order, got):
-        assert_same(result, reference[i])
+        assert_same(result, singles[i])
 
 
 def test_default_budget_matches_reference():
     rho = DensityMatrix(wishart_state(8, np.random.default_rng(11), rank=3), TRIPLE)
     want = [reference_ree.ree(rho, part, ReeConfig(seed=4)) for part in (A_BC, AC_B)]
-    for got, ref in zip(ree_many([rho, rho], [A_BC, AC_B], ReeConfig(seed=4)), want):
-        assert_same(got, ref)
+    got = ree_many([rho, rho], [A_BC, AC_B], ReeConfig(seed=4))
+    for result, ref in zip(got, want):
+        assert_matches_reference(result, ref)
+    for result, part in zip(got, (A_BC, AC_B)):
+        assert_same(result, ree(rho, part, ReeConfig(seed=4)))
 
 
 def test_argument_checks():
