@@ -4,13 +4,12 @@ Three measures live here. Logarithmic negativity is cheap and exact.
 Relative entropy of entanglement (REE) has no closed form, so it is
 reported as a certified bracket: an upper bound from an explicit separable
 mixture found by Frank-Wolfe over product ensembles, and a lower bound
-from an eigenvalue dual certificate over the PPT relaxation. The
-certificate is valid at any positive definite point; it is taken at five
-(the end of a projected PPT descent, the Frank-Wolfe optimum, and three
-blends of the two) and the largest is kept, so no bracket is wider than
-the descent point's certificate alone would make it. The relative entropy
-of discord (one-way deficit) is minimized over von Neumann bases on the
-measured subsystem.
+from the PPT relaxation, min S(rho||sigma) over PPT states, solved by a
+log-barrier Newton method. Its eigenvalue dual certificate is valid at any
+positive definite point, so the lower edge is sound however far the solve
+got; at the default budgets it closes the PPT problem to about 1e-7 bits.
+The relative entropy of discord (one-way deficit) is minimized over von
+Neumann bases on the measured subsystem.
 
 There is one REE engine, `ree_many`. It brackets many states in lockstep:
 every optimizer stage runs on (n, d, d) stacks, and a state that has
@@ -193,18 +192,14 @@ def _grad_log_term(lam, u, rho, floor=1e-14) -> np.ndarray:
     return 0.5 * (g + _dag(g))
 
 
-def _simplex_proj(v: np.ndarray, desc: np.ndarray | None = None) -> np.ndarray:
+def _simplex_proj(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of `v` onto {w >= 0, sum w = 1}.
 
-    `desc` is the row sorted in descending order, when the caller has it
-    (an eigenvalue row reversed). Entries of -inf get weight 0 and leave
-    the other entries' projection untouched.
+    Entries of -inf get weight 0 and leave the other entries' projection
+    untouched.
     """
     n, k = v.shape
-    if desc is None:
-        desc = v.copy()
-        desc.sort(axis=1)
-        desc = desc[:, ::-1]
+    desc = np.sort(v, axis=1)[:, ::-1]
     # threshold (cumsum - 1) / j at the last j where desc_j exceeds it
     q = (np.add.accumulate(desc, axis=1) - 1.0) / np.arange(1.0, k + 1)
     last = (k - 1) - (desc > q)[:, ::-1].argmax(axis=1)
@@ -224,8 +219,11 @@ def _positive(x: np.ndarray) -> np.ndarray:
 class ReeConfig:
     """Optimizer budgets for the REE bracket.
 
-    The defaults finish a dimension-8 bracket in about a second. Shrinking
-    the descent budgets loosens the bracket but never invalidates it.
+    `max_iter`, `product_starts`, `product_rounds` and `weight_iters` bound
+    the Frank-Wolfe upper edge; `descent_iters` is the number of Newton
+    steps per problem of the barrier solve behind the lower edge. The
+    defaults finish a dimension-8 bracket in about a second. Shrinking any
+    budget loosens the bracket but never invalidates it.
     Budgets are checked at construction: counts are non-negative integers,
     `product_rounds` is at least 1, tolerances are finite and positive.
     """
@@ -238,12 +236,10 @@ class ReeConfig:
     product_rounds: int = 30
     weight_iters: int = 40
     descent_iters: int = 120
-    dykstra_iters: int = 40
-    admm_iters: int = 600
 
     def __post_init__(self):
         _check_counts(self, ("seed", "max_iter", "product_starts", "product_rounds",
-                             "weight_iters", "descent_iters", "dykstra_iters", "admm_iters"))
+                             "weight_iters", "descent_iters"))
         if self.product_rounds < 1:
             raise ValueError(f"product_rounds must be at least 1, got {self.product_rounds}")
         for name in ("gap_tol", "bracket_tol"):
@@ -266,9 +262,9 @@ class ReeResult:
     `closest_state` is the separable mixture achieving `value`; it is
     separable by construction (an explicit convex combination of product
     states), so `value` is a true upper bound regardless of convergence.
-    `lower_bound` is the best PPT dual certificate over five points (the
-    PPT descent's end, `closest_state` and three blends of the two), never
-    below the descent point's certificate alone and never above `value`.
+    `lower_bound` is the best weak-duality certificate over the PPT states
+    met by the barrier-Newton solve, capped at `value`; it is a true lower
+    bound at any budget.
     `fw_gap` is the final Frank-Wolfe stationarity gap of the upper search.
     """
 
@@ -559,132 +555,144 @@ def _ree_upper(rho, split, t1, cfg: ReeConfig):
 
 
 # --------------------------------------------------------------------------
-# REE lower bound: PPT relaxation with a dual eigenvalue certificate
+# REE lower bound: a log-barrier Newton solve over PPT states
 
-# weights a of the Frank-Wolfe point in the blended certificate points
-# (1 - a) sigma_descent + a sigma_fw
-CERTIFICATE_BLENDS = (0.25, 0.5, 0.75)
-
-
-def _proj_psd(m):
-    w, v = np.linalg.eigh(m)
-    return (v * np.maximum(w, 0.0)[:, None, :]) @ _dag(v)
+# growth of the barrier weight per centering stage, and the stopping rules
+# of `_ree_lower`: gap closed (bits), and stage gain over gap (stall)
+BARRIER_GROWTH = 16.0
+LOWER_GAP_TOL = 1e-7
+STALL_SHARE = 0.01
 
 
-def _proj_density(m):
-    """Nearest trace-one PSD matrix (spectral simplex projection)."""
-    w, v = np.linalg.eigh(m)
-    return (v * _simplex_proj(w, w[:, ::-1])[:, None, :]) @ _dag(v)
+def _log_second_dd(lam, tol=1e-6) -> np.ndarray:
+    """Second divided differences of ln at the eigenvalues, per matrix.
 
-
-def _proj_ppt_cone(m, gather):
-    return _ptrans(_proj_psd(_ptrans(m, gather)), gather)
-
-
-def _dykstra_ppt_density(m, pt, iters):
-    """Alternating projections with corrections onto PPT density matrices."""
-    gather = _pt_gather(pt)
-    x = m.copy()
-    p = np.zeros_like(m)
-    q = np.zeros_like(m)
-    for _ in range(iters):
-        xp = x + p
-        y = _proj_density(xp)
-        p = xp - y
-        yq = y + q
-        x = _proj_ppt_cone(yq, gather)
-        q = yq - x
-    return 0.5 * (x + _dag(x))
-
-
-def _admm_linear_ppt(w_mat, pt, iters):
-    """min <W, tau> over PPT states, exporting a dual witness.
-
-    The scaled dual variable u recovers Q = proj_psd(-(t u)^Gamma); then
-    lambda_min(W - Q^Gamma) lower-bounds the optimum over all PPT states,
-    for any Q >= 0, by weak duality. Soundness does not depend on ADMM
-    having converged.
+    Entry [n, m, i, j] is ln[lam_i, lam_m, lam_j]. Pairs closer than `tol`
+    (relative) take derivative branches, so every division is by a safe
+    operand; the values feed a Newton Hessian, which need not be exact.
     """
-    n, d = w_mat.shape[0], w_mat.shape[1]
-    t_pen = (np.max(np.abs(np.linalg.eigvalsh(w_mat)), axis=1) / 4 + 1e-12)[:, None, None]
-    z = np.broadcast_to(np.eye(d, dtype=complex) / d, (n, d, d))
-    u = np.zeros_like(w_mat)
-    gather = _pt_gather(pt)
-    w_scaled = w_mat / t_pen
-    for _ in range(iters):
-        x = _proj_density(z - u - w_scaled)
-        xu = u + x
-        z = _proj_ppt_cone(xu, gather)
-        u = xu - z
-    return _proj_psd(-_ptrans(t_pen * u, gather))
+    li, lj = lam[:, :, None], lam[:, None, :]
+    dl = li - lj
+    far = np.abs(dl) > tol * np.maximum(li, lj)
+    safe = np.where(far, dl, 1.0)
+    ll = np.log(lam)
+    f1 = np.where(far, (ll[:, :, None] - ll[:, None, :]) / safe, 2.0 / (li + lj))
+    dx = np.where(far, (1.0 / li - f1) / safe, -0.5 / (li * lj))  # d/dx of f1(x, y)
+    f1, dx = f1.swapaxes(1, 2)[:, :, :, None], dx.swapaxes(1, 2)  # indexed [m, i]
+    return np.where(far[:, None], (f1 - f1.swapaxes(2, 3)) / safe[:, None],
+                    0.5 * (dx[:, :, :, None] + dx[:, :, None, :]))
 
 
-def _ree_lower(rho, pt, t1, warm, cfg: ReeConfig):
+def _sandwich(a) -> np.ndarray:
+    """Matrix of X -> a X a on row-major vec(X), for each Hermitian a."""
+    n, d = a.shape[0], a.shape[1]
+    return (a[:, :, None, :, None] * a.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
+
+
+def _newton_step(lam, u, rho, g, r_inv, pt, t):
+    """Newton step of t (-Tr rho ln sigma) - ln det sigma - ln det sigma^Gamma
+    over trace-one sigma = u lam u^H, and its slope, per problem.
+
+    `g` is `_grad_log_term` at sigma, `r_inv` = (sigma^Gamma)^-1. The Hessian
+    on row-major vec(sigma) has a Daleckii-Krein part and two sandwiches; one
+    batched solve with two right-hand sides keeps the step trace-free.
+    """
+    n, d = lam.shape[0], lam.shape[1]
+    uh = _dag(u)
+    # relative-entropy Hessian: column blocks in the eigenbasis of sigma,
+    # rotated back, plus the adjoint-transposed half
+    c = u[:, None] @ (-(uh @ rho @ u)[:, None] * _log_second_dd(lam)) @ uh[:, None]
+    y = (u.conj()[:, :, None, :] * u[:, None, :, :]).reshape(n, d * d, d)
+    h = (y @ c.reshape(n, d, d * d)).reshape(n, d, d, d, d).transpose(0, 3, 1, 4, 2)
+    h = h.reshape(n, d * d, d * d)
+    tp = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    s_inv = (u / lam[:, None, :]) @ uh
+    rows = np.arange(n)[:, None, None]
+    h = (t[:, None, None] * (h + h[:, tp][:, :, tp].conj()) + _sandwich(s_inv)
+         + _sandwich(r_inv)[rows, pt[:, :, None], pt[:, None, :]])
+    grad = -t[:, None, None] * g - s_inv - _ptrans(r_inv, _pt_gather(pt))
+    # dropping the trace part changes no step and keeps the solve well scaled
+    grad = grad - (np.trace(grad, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
+    scale = np.sqrt(np.diagonal(h, axis1=1, axis2=2).real)[:, :, None]
+    rhs = np.stack([grad.reshape(n, d * d), np.broadcast_to(np.eye(d).ravel(), (n, d * d))], 2)
+    sol = np.linalg.solve(h / scale / scale.swapaxes(1, 2), rhs / scale) / scale
+    tr = sol.reshape(n, d, d, 2).trace(axis1=1, axis2=2).real
+    step = -(sol[:, :, 0] - (tr[:, 0] / tr[:, 1])[:, None] * sol[:, :, 1]).reshape(n, d, d)
+    step = 0.5 * (step + _dag(step))
+    return step, np.einsum("nij,nji->n", grad, step).real
+
+
+def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig):
     """Certified lower bound on REE through the PPT relaxation, per problem.
 
-    Projected gradient minimizes S(rho||sigma) over PPT density matrices
-    (warm-started from the upper bound's separable optimum). At a point
-    sigma, the affine under-estimator is then minimized over PPT exactly
-    enough to extract Q, giving REE >= f(sigma) + lambda_min(W - Q^Gamma)
-    - <W, sigma>, valid for any positive definite sigma, feasible or not.
-    That certificate is taken at five points per problem in one stacked
-    pass: the descent point, the Frank-Wolfe point `warm`, and the blends
-    of the two at `CERTIFICATE_BLENDS`; each problem keeps its largest.
-    The descent point's bound is bit-identical to a pass on it alone, so
-    no bound is below what the descent point certifies. `rho` and `warm`
-    are (n, d, d) stacks, `pt` holds each problem's `_pt_index`.
+    min S(rho||sigma) over PPT states (Rains 2001) is smooth and convex; a
+    log-barrier method (Boyd & Vandenberghe, ch. 11) takes damped Newton
+    steps from sigma = I/d and raises t once sigma is centered (certificate
+    within 1.5 times the barrier's 2d/t of f). At every point,
+    REE >= f(sigma) - <W, sigma> + lambda_min(W - Q^Gamma), W = grad f, for
+    any sigma > 0 and Q >= 0 (weak duality); Q = (sigma^Gamma)^-1 / (t ln 2)
+    is the barrier's dual estimate, so the bound is sound whether or not
+    Newton converged. A problem keeps its best bound and stops once f or
+    `upper` is within LOWER_GAP_TOL of it, once a stage raised it by less
+    than STALL_SHARE of that gap, or after `cfg.descent_iters` Newton steps.
+    `pt` holds each problem's `_pt_index`.
     """
     n, d = rho.shape[0], rho.shape[1]
-    sigma = 0.98 * warm + 0.02 * (np.eye(d, dtype=complex) / d)
-    lam, u = np.linalg.eigh(sigma)
+    sigma = np.broadcast_to(np.eye(d, dtype=complex) / d, (n, d, d)).copy()
+    u, lam = sigma * d, np.full((n, d), 1.0 / d)
+    v, mu = u.copy(), lam.copy()
     f = _rel_ent_bits(t1, rho, lam, u)
-    alpha = np.full(n, 0.5)
+    logdet = 2 * d * np.log(lam[:, 0])  # ln det sigma + ln det sigma^Gamma
+    t = np.ones(n)  # barrier weight
+    best = np.full(n, -np.inf)
+    stage_start = best.copy()
     active = np.arange(n)
-    for _ in range(cfg.descent_iters):
-        if not active.size:
+    for it in range(cfg.descent_iters + 1):
+        ix = active
+        g = _grad_log_term(lam[ix], u[ix], rho[ix])
+        r_inv = (v[ix] / mu[ix][:, None, :]) @ _dag(v[ix])
+        w = -g / LN2
+        q_pt = _ptrans(r_inv, _pt_gather(pt[ix])) / (t[ix] * LN2)[:, None, None]
+        cert = (f[ix] - np.einsum("nij,nji->n", w, sigma[ix]).real
+                + np.linalg.eigvalsh(w - q_pt)[:, 0])
+        best[ix] = np.fmax(best[ix], cert)
+        going = (f[ix] - best[ix] > LOWER_GAP_TOL) & (upper[ix] - best[ix] > LOWER_GAP_TOL)
+        if it == cfg.descent_iters or not going.any():
             break
-        w_dir = -_grad_log_term(lam[active], u[active], rho[active]) / LN2
-        scale = np.max(np.abs(w_dir), axis=(1, 2))
-        big = scale > 10.0  # keep backtracking meaningful near singular sigma
-        w_dir[big] = w_dir[big] * (10.0 / scale[big])[:, None, None]
-        s = alpha[active]
-        pending = np.arange(active.size)
-        moved = np.zeros(active.size, dtype=bool)
-        for _ in range(25):
-            ix = active[pending]
-            cand = _dykstra_ppt_density(sigma[ix] - s[pending][:, None, None] * w_dir[pending],
-                                        pt[ix], cfg.dykstra_iters)
-            lam2, u2 = np.linalg.eigh(cand)
-            fc = _rel_ent_bits(t1[ix], rho[ix], lam2, u2)
-            ok = fc < f[ix] - 1e-13
-            sigma[ix[ok]], f[ix[ok]], lam[ix[ok]], u[ix[ok]] = cand[ok], fc[ok], lam2[ok], u2[ok]
-            alpha[ix[ok]] = np.minimum(s[pending[ok]] * 1.5, 10.0)
-            moved[pending[ok]] = True
-            pending = pending[~ok]
+        ix = active = ix[going]
+        g, r_inv, cert = g[going], r_inv[going], cert[going]
+        step, slope = _newton_step(lam[ix], u[ix], rho[ix], g, r_inv, pt[ix], t[ix])
+        centered = f[ix] - cert <= 3 * d / (t[ix] * LN2)
+        # damped Newton: halve until feasible with an Armijo decrease of the
+        # barrier objective, allowing for its rounding at large t
+        pending = np.flatnonzero(~centered & (slope < 0) & np.isfinite(slope))
+        moved = np.zeros(ix.size, dtype=bool)
+        s = np.ones(ix.size)
+        for _ in range(40):
             if not pending.size:
                 break
-            s[pending] *= 0.4
-        active = active[moved]
-    # the certificate points, one block of n each, the descent point first
-    blends = [(1 - a) * sigma + a * warm for a in CERTIFICATE_BLENDS]
-    k = 2 + len(blends)
-    sigma = np.concatenate([sigma, warm, *blends])
-    rho, t1, pt = np.tile(rho, (k, 1, 1)), np.tile(t1, k), np.tile(pt, (k, 1))
-    # strictly positive sigma keeps the affine model finite
-    sigma = 0.999999 * sigma + 1e-6 * np.eye(d) / d
-    lam, u = np.linalg.eigh(sigma)
-    f = _rel_ent_bits(t1, rho, lam, u)
-    w_mat = -_grad_log_term(lam, u, rho) / LN2
-    inner = np.real(np.trace(w_mat @ sigma, axis1=1, axis2=2))
-    q_pt = _ptrans(_admm_linear_ppt(w_mat, pt, cfg.admm_iters), _pt_gather(pt))
-    # the certificate at six scales of Q, all in one stacked eigvalsh
-    scales = np.array([0.0, 0.5, 0.9, 1.0, 1.1, 2.0])[:, None, None]
-    lowest = np.linalg.eigvalsh(w_mat[:, None] - scales * q_pt[:, None])[..., 0]
-    cert = lowest[:, 0]
-    for j in range(1, scales.shape[0]):  # the first maximum, as Python's max
-        cert = np.where(lowest[:, j] > cert, lowest[:, j], cert)
-    # the largest bound per problem; fmax skips a NaN at any one point
-    return _positive(np.fmax.reduce((f + cert - inner).reshape(k, n), axis=0))
+            jx = ix[pending]
+            cand = sigma[jx] + s[pending, None, None] * step[pending]
+            lam2, u2 = np.linalg.eigh(cand)
+            mu2, v2 = np.linalg.eigh(_ptrans(cand, _pt_gather(pt[jx])))
+            ok = (lam2[:, 0] > 1e-13) & (mu2[:, 0] > 0)  # 1e-13: above the floors of f, W
+            f2 = _rel_ent_bits(t1[jx], rho[jx], lam2, u2)
+            ld2 = np.log(np.where(ok[:, None], np.concatenate([lam2, mu2], 1), 1.0)).sum(1)
+            obj, obj2 = t[jx] * f[jx] * LN2 - logdet[jx], t[jx] * f2 * LN2 - ld2
+            ok &= obj2 <= obj + 0.25 * s[pending] * slope[pending] + 1e-13 * (1 + np.abs(obj))
+            a = jx[ok]
+            sigma[a], lam[a], u[a], mu[a], v[a] = cand[ok], lam2[ok], u2[ok], mu2[ok], v2[ok]
+            f[a], logdet[a] = f2[ok], ld2[ok]
+            moved[pending[ok]] = True
+            pending = pending[~ok]
+            s[pending] *= 0.5
+        # a centered point, or one Newton cannot improve, ends the stage
+        ends = ix[~moved]
+        stalled = best[ends] - stage_start[ends] < STALL_SHARE * (f[ends] - best[ends])
+        stage_start[ends] = best[ends]
+        t[ends[~stalled]] *= BARRIER_GROWTH
+        active = np.setdiff1d(active, ends[stalled])
+    return _positive(best)
 
 
 def ree_many(
@@ -741,7 +749,7 @@ def ree_many(
         # disturbing separability; value is recomputed on the blended state
         sigma = (1.0 - 1e-9) * sigma + 1e-9 * np.eye(d) / d
         upper = _positive(_rel_ent_bits(t1, rho, *np.linalg.eigh(sigma)))
-        lower = _ree_lower(rho, np.stack([_pt_index(*s) for s in split]), t1, sigma, cfg)
+        lower = _ree_lower(rho, np.stack([_pt_index(*s) for s in split]), t1, upper, cfg)
         lower = np.where(upper < lower, upper, lower)
         for j, i in enumerate(index):
             dims = states[i].dims
@@ -761,26 +769,9 @@ def ree_many(
 
 
 def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None) -> ReeResult:
-    """Certified REE bracket for `rho` across `part`, in bits.
-
-    A one-state call of `ree_many`; callers holding several states should
-    pass them to `ree_many` together.
-
-    Parameters
-    ----------
-    rho : DensityMatrix
-        Total dimension at most 16.
-    part : Bipartition
-        Labels for the two sides; must cover all subsystems.
-    config : ReeConfig, optional
-        Optimizer budgets and seed.
-
-    Returns
-    -------
-    ReeResult
-        value (ansatz upper bound), lower_bound (best PPT dual certificate),
-        the achieving separable state, a convergence flag for the upper
-        search, and the Frank-Wolfe iteration count.
+    """Certified REE bracket for `rho` (total dimension at most 16) across
+    `part`, in bits; `ReeResult` describes the fields. A one-state call of
+    `ree_many`: callers holding several states should pass them together.
     """
     return ree_many([rho], [part], config)[0]
 
@@ -793,9 +784,11 @@ def ree_bell_diagonal(rho: DensityMatrix) -> float:
     """Closed-form REE for two-qubit states with maximally mixed marginals.
 
     Such states are local-unitary equivalent to Bell-diagonal states, for
-    which REE = 1 - S(rho) when the largest eigenvalue exceeds 1/2 and 0
-    otherwise. Both the entropy and REE are local-unitary invariants, so
-    checking the marginals is enough.
+    which REE = 1 - H2(lam_max) when the largest eigenvalue lam_max exceeds
+    1/2 and 0 otherwise (Vedral-Plenio 1998: the closest separable state
+    puts weight 1/2 on the top Bell state). H2 is the binary entropy; at
+    rank 2 this equals 1 - S(rho). The spectrum and REE are local-unitary
+    invariants, so checking the marginals is enough.
     """
     if rho.dims.dims != (2, 2):
         raise ValueError("need a two-qubit state")
@@ -809,7 +802,8 @@ def ree_bell_diagonal(rho: DensityMatrix) -> float:
     lam_max = float(np.linalg.eigvalsh(rho.data)[-1])
     if lam_max <= 0.5:
         return 0.0
-    return 1.0 - von_neumann_entropy(rho)
+    q = 1.0 - lam_max
+    return 1.0 + lam_max * math.log2(lam_max) + (q * math.log2(q) if q > 0 else 0.0)
 
 
 # --------------------------------------------------------------------------

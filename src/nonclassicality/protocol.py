@@ -50,7 +50,7 @@ DETECTION_THRESHOLD = 1e-3
 
 # REE budget of the theorem suite: many small brackets, so leaner than the
 # defaults; the CLI's override flags replace single fields of it
-SUITE_REE_CONFIG = ReeConfig(max_iter=40, descent_iters=60, dykstra_iters=30, admm_iters=400)
+SUITE_REE_CONFIG = ReeConfig(max_iter=40, descent_iters=60)
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
@@ -209,7 +209,8 @@ def _run_pipeline(
             if not r.converged:
                 converged = False
                 diagnostics.append(
-                    f"{tag} optimizer not converged at t={t:.6g} "
+                    f"{tag} optimizer not converged at t={t:.6g}: bracket "
+                    f"[{r.lower_bound:.6g}, {r.value:.6g}], width {r.value - r.lower_bound:.3e} "
                     f"(fw_gap={r.fw_gap:.3e} after {r.iterations} iterations)"
                 )
 

@@ -53,3 +53,28 @@ def two_body(op_first, op_second, where, dims=(2, 2, 2)):
     facs[where[0]] = op_first
     facs[where[1]] = op_second
     return kron(*facs)
+
+
+def binary_entropy(p):
+    return -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+
+
+def isotropic_state(d, f):
+    """f |Phi+><Phi+| + (1 - f)(I - |Phi+><Phi+|)/(d^2 - 1) on d x d, with
+    its exact REE (Rains): log2 d + f log2 f + (1 - f) log2((1 - f)/(d - 1))
+    for fidelity f > 1/d, else 0."""
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = np.outer(phi, phi)
+    m = f * proj + (1 - f) * (np.eye(d * d) - proj) / (d * d - 1)
+    exact = np.log2(d) + f * np.log2(f) + (1 - f) * np.log2((1 - f) / (d - 1)) if f > 1 / d else 0.0
+    return dm(m, (d, d), ("A", "B")), float(exact)
+
+
+def werner_state(d, p):
+    """Werner state on d x d with weight p on the antisymmetric subspace,
+    with its exact REE (Vollbrecht-Werner): 1 - H2(p) for p > 1/2, else 0."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    anti, sym = (np.eye(d * d) - swap) / 2, (np.eye(d * d) + swap) / 2
+    m = p * anti / (d * (d - 1) / 2) + (1 - p) * sym / (d * (d + 1) / 2)
+    exact = 1.0 - binary_entropy(p) if p > 0.5 else 0.0
+    return dm(m, (d, d), ("A", "B")), float(exact)

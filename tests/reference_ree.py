@@ -1,9 +1,12 @@
 """The single-state REE engine as it was before the lockstep engine.
 
-A verbatim copy, kept as the reference that `ree` and `ree_many` must
-match bit for bit: every bracket, flag, iteration count and closest state.
-Only the imports differ; the configuration and result types are the
-package's own.
+A verbatim copy, kept as the reference that the Frank-Wolfe upper edge of
+`ree` and `ree_many` must match bit for bit: value, iteration count, gap
+and closest state. Its lower edge is the projected PPT descent with a
+Dykstra projection and an ADMM witness that the package has since
+replaced; their budgets, no longer `ReeConfig` fields, are arguments of
+`ree` here. Only the imports and those two arguments differ; the
+configuration and result types are the package's own.
 """
 
 from __future__ import annotations
@@ -306,7 +309,7 @@ def _admm_linear_ppt(w_mat, dl, dr, iters):
     return _proj_psd(-_ptrans(t_pen * u, dl, dr))
 
 
-def _ree_lower(rho, dl, dr, cfg: ReeConfig, warm: np.ndarray | None):
+def _ree_lower(rho, dl, dr, cfg: ReeConfig, warm: np.ndarray | None, dykstra_iters, admm_iters):
     """Certified lower bound on REE through the PPT relaxation.
 
     Projected gradient minimizes S(rho||sigma) over PPT density matrices
@@ -329,7 +332,7 @@ def _ree_lower(rho, dl, dr, cfg: ReeConfig, warm: np.ndarray | None):
             w_dir = w_dir * (10.0 / scale)
         s, moved = alpha, False
         for _ in range(25):
-            cand = _dykstra_ppt_density(sigma - s * w_dir, dl, dr, cfg.dykstra_iters)
+            cand = _dykstra_ppt_density(sigma - s * w_dir, dl, dr, dykstra_iters)
             fc = _rel_ent_bits(t1, rho, cand)
             if fc < f - 1e-13:
                 sigma, f, alpha, moved = cand, fc, min(s * 1.5, 10.0), True
@@ -342,7 +345,7 @@ def _ree_lower(rho, dl, dr, cfg: ReeConfig, warm: np.ndarray | None):
     f = _rel_ent_bits(t1, rho, sigma)
     w_mat = -_grad_log_term(sigma, rho) / LN2
     inner = float(np.real(np.trace(w_mat @ sigma)))
-    q = _admm_linear_ppt(w_mat, dl, dr, cfg.admm_iters)
+    q = _admm_linear_ppt(w_mat, dl, dr, admm_iters)
     q_pt = _ptrans(q, dl, dr)
     cert = max(
         float(np.linalg.eigvalsh(w_mat - sc * q_pt)[0])
@@ -351,7 +354,8 @@ def _ree_lower(rho, dl, dr, cfg: ReeConfig, warm: np.ndarray | None):
     return max(0.0, f + cert - inner)
 
 
-def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None) -> ReeResult:
+def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None,
+        dykstra_iters: int = 40, admm_iters: int = 600) -> ReeResult:
     """Certified REE bracket for `rho` across `part`, in bits.
 
     Parameters
@@ -362,6 +366,9 @@ def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None) 
         Labels for the two sides; must cover all subsystems.
     config : ReeConfig, optional
         Optimizer budgets and seed.
+    dykstra_iters, admm_iters : int
+        Budgets of the lower edge's projections and witness (the package's
+        former defaults).
 
     Returns
     -------
@@ -382,7 +389,7 @@ def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None) 
     # disturbing separability; value is recomputed on the blended state
     sigma = (1.0 - 1e-9) * sigma + 1e-9 * np.eye(dl * dr) / (dl * dr)
     upper = max(0.0, _rel_ent_bits(_neg_entropy_nat(m), m, sigma))
-    lower = _ree_lower(m, dl, dr, cfg, warm=sigma)
+    lower = _ree_lower(m, dl, dr, cfg, sigma, dykstra_iters, admm_iters)
     lower = min(lower, upper)
     closest = DensityMatrix(_unpermute(sigma, rho.dims, perm), rho.dims)
     # either stationarity of the upper search or a bracket already tighter

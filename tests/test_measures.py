@@ -25,7 +25,10 @@ from nonclassicality.measures import (
 )
 from nonclassicality.protocol import SUITE_REE_CONFIG
 
-from helpers import I2, KET0, KET1, KET_PLUS, KET_MINUS, PHI_PLUS, PSI_PLUS, SX, SZ, dm, pure, random_state, random_unitary
+from helpers import (
+    I2, KET0, KET1, KET_PLUS, KET_MINUS, PHI_PLUS, PSI_PLUS, SX, SZ, binary_entropy, dm,
+    isotropic_state, pure, random_state, random_unitary, werner_state,
+)
 
 PAIR = SystemDims((2, 2), ("A", "B"))
 TRIPLE = SystemDims((2, 2, 2), ("A", "B", "C"))
@@ -126,7 +129,7 @@ class TestRee:
 
 # small budgets: the brackets need not be tight, only sound
 ORACLE_BUDGET = ReeConfig(max_iter=8, product_starts=6, product_rounds=8, weight_iters=10,
-                          descent_iters=10, dykstra_iters=10, admm_iters=80)
+                          descent_iters=10)
 
 
 def flagged_pure_state(p, rng) -> tuple[DensityMatrix, float]:
@@ -164,6 +167,34 @@ class TestReeFlaggedPureOracle:
         assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
 
 
+# Frank-Wolfe kept short, the lower edge's Newton budget at its default:
+# the upper edge is valid at any budget, and the oracle tests below pin
+# how close the lower edge gets
+OPEN_FW_BUDGET = ReeConfig(max_iter=5, product_starts=6, product_rounds=8, weight_iters=10)
+
+
+def bell_diagonal(weights) -> DensityMatrix:
+    """sum_k w_k |B_k><B_k| over the four Bell states, the first weight on Phi+."""
+    phi_minus = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
+    psi_minus = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+    m = sum(w * np.outer(b, b.conj())
+            for w, b in zip(weights, (PHI_PLUS, phi_minus, PSI_PLUS, psi_minus)))
+    return DensityMatrix(m, PAIR)
+
+
+class TestReeIsotropicWernerOracle:
+    # PPT = separable on both families, so the lower edge's PPT solve has
+    # the exact REE as its optimum
+    @pytest.mark.parametrize("weight", (0.6, 0.9))
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("family", (isotropic_state, werner_state))
+    def test_bracket_contains_and_lower_edge_reaches_exact(self, family, d, weight):
+        rho, exact = family(d, weight)
+        res = ree(rho, Bipartition(("A",), ("B",)), OPEN_FW_BUDGET)
+        assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
+        assert exact - res.lower_bound <= 1e-5
+
+
 class TestReeBellDiagonal:
     def test_pure_bell_is_one(self):
         assert ree_bell_diagonal(bell_pair(PSI_PLUS)) == pytest.approx(1.0, abs=1e-12)
@@ -189,7 +220,25 @@ class TestReeBellDiagonal:
         rho = DensityMatrix(m, PAIR)
         exact = ree_bell_diagonal(rho)
         res = ree(rho, Bipartition(("A",), ("B",)))
-        assert res.lower_bound - 3e-2 <= exact <= res.value + 3e-2
+        assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
+        assert exact - res.lower_bound <= 1e-5
+
+    # above rank 2, 1 - H2(lam_max) and 1 - S(rho) differ: at (0.7, 0.1,
+    # 0.1, 0.1) the latter is negative
+    @pytest.mark.parametrize("weights", [(0.6, 0.3, 0.1, 0.0), (0.7, 0.2, 0.1, 0.0),
+                                         (0.7, 0.1, 0.1, 0.1), (0.55, 0.25, 0.15, 0.05)])
+    def test_higher_rank_mixture_is_one_minus_binary_entropy(self, weights):
+        rho = bell_diagonal(weights)
+        exact = 1.0 - binary_entropy(weights[0])
+        # a local unitary leaves both the closed form and REE unchanged
+        rng = np.random.default_rng(17)
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        turned = DensityMatrix(u @ rho.data @ u.conj().T, PAIR)
+        for state in (rho, turned):
+            assert ree_bell_diagonal(state) == pytest.approx(exact, abs=1e-12)
+        res = ree(rho, Bipartition(("A",), ("B",)), OPEN_FW_BUDGET)
+        assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
+        assert exact - res.lower_bound <= 1e-5
 
     def test_rejects_biased_marginals(self):
         m = np.kron(np.diag([0.9, 0.1]), I2 / 2).astype(complex)
@@ -270,7 +319,7 @@ class TestQuditDiscord:
 class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("max_iter", -1), ("product_starts", -2), ("weight_iters", -1),
-        ("descent_iters", -1), ("dykstra_iters", -1), ("admm_iters", -1),
+        ("descent_iters", -1),
         ("seed", -1), ("max_iter", 2.5), ("product_rounds", 0),
         ("gap_tol", 0.0), ("gap_tol", -1e-3), ("gap_tol", float("nan")),
         ("bracket_tol", float("inf")), ("bracket_tol", "0.02"),
@@ -286,7 +335,7 @@ class TestConfigValidation:
 
     def test_zero_budgets_are_allowed(self):
         res = ree(bell_pair(), Bipartition(("A",), ("B",)),
-                  ReeConfig(max_iter=0, weight_iters=0, descent_iters=0, admm_iters=0))
+                  ReeConfig(max_iter=0, weight_iters=0, descent_iters=0))
         assert res.iterations == 0 and 0.0 <= res.lower_bound <= res.value
         assert DiscordConfig(grid=0, refine_maxiter=0).grid == 0
 

@@ -1,6 +1,7 @@
 """Detection pipeline: scenario validation, verdicts, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,12 @@ class TestNamedScenarios:
             scenario_counterexample(0)
 
 
+@pytest.fixture(scope="module")
+def starved_report():
+    tiny = ReeConfig(max_iter=2, descent_iters=5, gap_tol=1e-12, bracket_tol=1e-12)
+    return run_detection(scenario_gain_example(2), ree_config=tiny)
+
+
 class TestRunDetection:
     def test_gain_example_brackets_and_verdict(self):
         # the breaking step removes any probe-probe entanglement, and the
@@ -197,12 +204,23 @@ class TestRunDetection:
                 assert lo == pytest.approx(series[0][0], abs=1e-9)
                 assert hi == pytest.approx(series[0][1], abs=1e-9)
 
-    def test_starved_optimizer_degrades_to_inconclusive(self):
-        tiny = ReeConfig(max_iter=2, descent_iters=5, dykstra_iters=5,
-                         admm_iters=20, gap_tol=1e-12, bracket_tol=1e-12)
-        rep = run_detection(scenario_gain_example(2), ree_config=tiny)
-        assert rep.verdict == "INCONCLUSIVE"
-        assert any("not converged" in d for d in rep.diagnostics)
+    def test_starved_optimizer_degrades_to_inconclusive(self, starved_report):
+        assert starved_report.verdict == "INCONCLUSIVE"
+        assert any("not converged" in d for d in starved_report.diagnostics)
+
+    def test_not_converged_diagnostic_carries_the_bracket(self, starved_report):
+        rep = starved_report
+        pattern = re.compile(r"(e_abc?) optimizer not converged at t=(\S+): "
+                             r"bracket \[(\S+), (\S+)\], width (\S+) \(fw_gap=")
+        notes = [pattern.match(d) for d in rep.diagnostics if "not converged" in d]
+        assert notes and all(notes)
+        for tag, t, lo, hi, width in (m.groups() for m in notes):
+            i = [f"{x:.6g}" for x in rep.times].index(t)
+            want_lo, want_hi = getattr(rep, tag)[i]
+            assert float(lo) == pytest.approx(want_lo, rel=1e-5, abs=1e-12)
+            assert float(hi) == pytest.approx(want_hi, rel=1e-5, abs=1e-12)
+            assert float(width) == pytest.approx(want_hi - want_lo, rel=1e-3, abs=1e-12)
+            assert float(width) > 1e-12  # wider than the starved bracket_tol
 
 
 class TestOpenEvolution:
