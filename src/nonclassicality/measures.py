@@ -2,14 +2,18 @@
 
 Three measures live here. Logarithmic negativity is cheap and exact.
 Relative entropy of entanglement (REE) has no closed form, so it is
-reported as a certified bracket: an upper bound from an explicit separable
-mixture found by Frank-Wolfe over product ensembles, and a lower bound
-from the PPT relaxation, min S(rho||sigma) over PPT states, solved by a
-log-barrier Newton method. Its eigenvalue dual certificate is valid at any
-positive definite point, so the lower edge is sound however far the solve
-got; at the default budgets it closes the PPT problem to about 1e-7 bits.
-The relative entropy of discord (one-way deficit) is minimized over von
-Neumann bases on the measured subsystem.
+reported as a certified bracket. Its lower edge comes from the PPT
+relaxation, min S(rho||sigma) over PPT states, solved by a log-barrier
+Newton method; the eigenvalue dual certificate is valid at any positive
+definite point, so the lower edge is sound however far the solve got, and
+at the default budgets it closes the PPT problem to about 1e-7 bits. Its
+upper edge is S(rho||sigma) at a separable sigma: on 2x2 and 2x3 cuts,
+where PPT = separable, the barrier's own final sigma; on larger cuts an
+explicit product mixture found by Frank-Wolfe. A state with a classical
+flag, rho = sum_c p_c rho_c (x) |c><c|, is bracketed block by block (REE
+is additive over flags), so the theorem suite's classical-mediator states
+become 2x2 barrier solves. The relative entropy of discord (one-way
+deficit) is minimized over von Neumann bases on the measured subsystem.
 
 There is one REE engine, `ree_many`. It brackets many states in lockstep:
 every optimizer stage runs on (n, d, d) stacks, and a state that has
@@ -220,9 +224,10 @@ class ReeConfig:
     """Optimizer budgets for the REE bracket.
 
     `max_iter`, `product_starts`, `product_rounds` and `weight_iters` bound
-    the Frank-Wolfe upper edge; `descent_iters` is the number of Newton
-    steps per problem of the barrier solve behind the lower edge. The
-    defaults finish a dimension-8 bracket in about a second. Shrinking any
+    the Frank-Wolfe upper edge of cuts larger than 2x3; `descent_iters` is
+    the number of Newton steps per problem of the barrier solve behind the
+    lower edge, and behind both edges on 2x2 and 2x3 cuts. The defaults
+    finish a dimension-8 bracket in about a second. Shrinking any
     budget loosens the bracket but never invalidates it.
     Budgets are checked at construction: counts are non-negative integers,
     `product_rounds` is at least 1, tolerances are finite and positive.
@@ -259,13 +264,24 @@ def _check_counts(cfg, names) -> None:
 class ReeResult:
     """Certified bracket [lower_bound, value] for the REE of one state.
 
-    `closest_state` is the separable mixture achieving `value`; it is
-    separable by construction (an explicit convex combination of product
-    states), so `value` is a true upper bound regardless of convergence.
+    `closest_state` is the separable state achieving `value`, so `value` is
+    a true upper bound regardless of convergence. It is separable by
+    construction on every path: an explicit mixture of product states from
+    Frank-Wolfe ("frank-wolfe"), a strictly PPT state on a 2x2 or 2x3 cut,
+    separable there by the PPT = SEP theorem ("barrier"), or a flag mixture
+    sum_c p_c sigma_c (x) |c><c| of such states ("flags").
     `lower_bound` is the best weak-duality certificate over the PPT states
-    met by the barrier-Newton solve, capped at `value`; it is a true lower
-    bound at any budget.
-    `fw_gap` is the final Frank-Wolfe stationarity gap of the upper search.
+    met by the barrier-Newton solve (p-weighted over flag blocks), capped at
+    `value`; it is a true lower bound at any budget.
+    `path` names the route the state took (see `ree_many`). `iterations`
+    counts Frank-Wolfe iterations on the "frank-wolfe" path and Newton steps
+    on the "barrier" path; on the "flags" path it is the sum over the blocks.
+    `fw_gap` is the final Frank-Wolfe stationarity gap of the upper search,
+    p-weighted over flag blocks, and 0.0 where no Frank-Wolfe ran.
+    `converged` means a bracket within `bracket_tol`, or on the
+    "frank-wolfe" path a stationary upper search, or on the "flags" path
+    every block converged. A one-sided cut needs no solve: it reports
+    [0, 0], "barrier" and no iterations.
     """
 
     value: float
@@ -274,6 +290,7 @@ class ReeResult:
     converged: bool
     iterations: int
     fw_gap: float
+    path: str
 
 
 class _ProductEnsemble:
@@ -636,6 +653,9 @@ def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig):
     `upper` is within LOWER_GAP_TOL of it, once a stage raised it by less
     than STALL_SHARE of that gap, or after `cfg.descent_iters` Newton steps.
     `pt` holds each problem's `_pt_index`.
+
+    Returns the bounds, the final sigma of each problem (positive definite
+    with a positive definite partial transpose) and its Newton step count.
     """
     n, d = rho.shape[0], rho.shape[1]
     sigma = np.broadcast_to(np.eye(d, dtype=complex) / d, (n, d, d)).copy()
@@ -646,6 +666,7 @@ def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig):
     t = np.ones(n)  # barrier weight
     best = np.full(n, -np.inf)
     stage_start = best.copy()
+    steps = np.zeros(n, dtype=int)
     active = np.arange(n)
     for it in range(cfg.descent_iters + 1):
         ix = active
@@ -660,6 +681,7 @@ def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig):
         if it == cfg.descent_iters or not going.any():
             break
         ix = active = ix[going]
+        steps[ix] += 1
         g, r_inv, cert = g[going], r_inv[going], cert[going]
         step, slope = _newton_step(lam[ix], u[ix], rho[ix], g, r_inv, pt[ix], t[ix])
         centered = f[ix] - cert <= 3 * d / (t[ix] * LN2)
@@ -692,7 +714,131 @@ def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig):
         stage_start[ends] = best[ends]
         t[ends[~stalled]] *= BARRIER_GROWTH
         active = np.setdiff1d(active, ends[stalled])
-    return _positive(best)
+    return _positive(best), sigma, steps
+
+
+# --------------------------------------------------------------------------
+# the engine: classical flags first, then the barrier on 2x2 and 2x3 cuts,
+# and Frank-Wolfe with the barrier's lower edge on every larger cut
+
+# a subsystem whose off-diagonal blocks in the computational basis are all
+# at most this large is split off as a classical flag
+FLAG_TOL = 1e-12
+# largest cut dimension (2x2, 2x3 and 3x2) where PPT = separable
+BARRIER_MAX_DIM = 6
+
+
+def _full_support(sigma: np.ndarray) -> np.ndarray:
+    """A tiny maximally mixed admixture: it keeps the support full without
+    disturbing separability, and the value is recomputed on the result."""
+    d = sigma.shape[-1]
+    return (1.0 - 1e-9) * sigma + 1e-9 * np.eye(d) / d
+
+
+def _flag_axis(m: np.ndarray, dims: tuple) -> int | None:
+    """First subsystem whose off-diagonal blocks are all within FLAG_TOL."""
+    n = len(dims)
+    t = m.reshape(dims + dims)
+    for k, dk in enumerate(dims):
+        off = np.moveaxis(t, (k, n + k), (0, 1))[~np.eye(dk, dtype=bool)]
+        if off.size and np.abs(off).max() <= FLAG_TOL:
+            return k
+    return None
+
+
+def _flag_tree(m: np.ndarray, dims: tuple, n_left: int, leaves: list):
+    """Split `m` at its classical flags, recursively.
+
+    `dims` are the subsystem dimensions of `m`, the first `n_left` of them
+    on the left of the cut. A problem without a flag is appended to
+    `leaves` as (matrix, dl, dr) and its index returned. Otherwise the node
+    is (k, dims, blocks) for a flag on subsystem k, with one entry
+    (c, p_c, rho_c, child) per flag value of weight p_c > FLAG_TOL; the
+    child is None when the block's cut is one-sided, and rho_c is then its
+    own closest separable state.
+    """
+    k = _flag_axis(m, dims)
+    if k is None:
+        leaves.append((m, math.prod(dims[:n_left]), math.prod(dims[n_left:])))
+        return len(leaves) - 1
+    n = len(dims)
+    rest = dims[:k] + dims[k + 1:]
+    n_left -= k < n_left
+    one_sided = min(math.prod(rest[:n_left]), math.prod(rest[n_left:])) == 1
+    t = np.moveaxis(m.reshape(dims + dims), (k, n + k), (0, 1))
+    blocks = []
+    for c in range(dims[k]):
+        block = t[c, c].reshape(math.prod(rest), -1)
+        p = float(np.trace(block).real)
+        if p > FLAG_TOL:
+            block = block / p
+            child = None if one_sided else _flag_tree(block, rest, n_left, leaves)
+            blocks.append((c, p, block, child))
+    return k, dims, blocks
+
+
+def _flag_bracket(node, solved: list):
+    """(lower, sigma, iterations, fw_gap, converged) of a flag subtree.
+
+    The lower edge is sum_c p_c lower_c: pinching the flag is a local
+    channel, under which REE cannot rise, and REE is additive over flag
+    blocks. sigma = sum_c p_c sigma_c (x) |c><c| is separable. Iterations
+    add up over the blocks, FW gaps are p-weighted, and the subtree is
+    converged when every block is.
+    """
+    if not isinstance(node, tuple):
+        lower, _, sigma, iters, gap, converged = solved[node]
+        return lower, sigma, iters, gap, converged
+    k, dims, blocks = node
+    n, rest = len(dims), dims[:k] + dims[k + 1:]
+    sigma = np.zeros((dims[k], dims[k]) + rest + rest, dtype=complex)
+    lower = gap = 0.0
+    iters, converged = 0, True
+    for c, p, block, child in blocks:
+        if child is not None:
+            lo, block, it, g, ok = _flag_bracket(child, solved)
+            lower, gap = lower + p * lo, gap + p * g
+            iters, converged = iters + it, converged and ok
+        sigma[c, c] = p * block.reshape(rest + rest)
+    d = math.prod(dims)
+    return lower, np.moveaxis(sigma, (0, 1), (k, n + k)).reshape(d, d), iters, gap, converged
+
+
+def _solve_leaves(leaves: list, cfg: ReeConfig) -> list:
+    """(lower, upper, sigma, iterations, fw_gap, converged) per (matrix, dl,
+    dr) problem, on the "barrier" or "frank-wolfe" path of `ree_many`;
+    problems of equal dimension run in one stack.
+
+    On 2x2 and 2x3 cuts PPT = separable (Horodecki, Horodecki & Horodecki,
+    PLA 223, 1, 1996), so the barrier solve's final sigma, strictly PPT, is
+    separable and S(rho||sigma) is the upper edge.
+    """
+    out: list = [None] * len(leaves)
+    by_dim: dict[int, list] = {}
+    for j, (_, dl, dr) in enumerate(leaves):
+        by_dim.setdefault(dl * dr, []).append(j)
+    for d, js in by_dim.items():
+        rho = np.stack([leaves[j][0] for j in js])
+        split = [leaves[j][1:] for j in js]
+        t1 = _neg_entropy_nat(rho)
+        pt = np.stack([_pt_index(*s) for s in split])
+        if d <= BARRIER_MAX_DIM:
+            lower, sigma, iters = _ree_lower(rho, pt, t1, np.full(len(js), np.inf), cfg)
+            gap = np.zeros(len(js))
+            upper = _positive(_rel_ent_bits(t1, rho, *np.linalg.eigh(sigma)))
+        else:
+            gap, iters, sigma = _ree_upper(rho, split, t1, cfg)
+            sigma = _full_support(sigma)
+            upper = _positive(_rel_ent_bits(t1, rho, *np.linalg.eigh(sigma)))
+            lower = _ree_lower(rho, pt, t1, upper, cfg)[0]
+        lower = np.where(upper < lower, upper, lower)
+        # either stationarity of the upper search or a bracket already
+        # tighter than the advertised resolution counts as converged;
+        # wide brackets on a stalled search are reported, never hidden
+        converged = ((gap < cfg.gap_tol) & (d > BARRIER_MAX_DIM)) | (upper - lower <= cfg.bracket_tol)
+        for j, row in enumerate(zip(lower, upper, sigma, iters, gap, converged)):
+            out[js[j]] = row
+    return out
 
 
 def ree_many(
@@ -702,13 +848,29 @@ def ree_many(
 ) -> list[ReeResult]:
     """Certified REE brackets for many states, in bits, in one lockstep run.
 
-    This is the only REE engine. Problems of equal total dimension run
-    each optimizer stage together on (n, d, d) stacks, and a problem that
-    has finished a stage drops out of the stack or is masked out. Each
-    problem keeps its own generator seeded with `config.seed` and its own
-    order of draws, and stacked linear algebra gives the same bits per
-    matrix as single calls, so every result is bit-identical to a call
-    with that state alone, whatever else is in the batch.
+    This is the only REE engine. Each state takes one of three paths,
+    named in `ReeResult.path`:
+
+    - "flags": some subsystem is a classical flag (its off-diagonal blocks
+      in the computational basis are within `FLAG_TOL`). The state is
+      split into its flag blocks p_c rho_c, recursively, and each block is
+      bracketed on its own; a block whose cut is one-sided scores 0. The
+      lower edge is sum_c p_c lower_c, the upper edge S(rho||sigma_flag)
+      on the whole state with sigma_flag = sum_c p_c sigma_c (x) |c><c|.
+      Both edges are sound for any input; the tolerance only decides
+      whether the bracket is tight.
+    - "barrier": a 2x2 or 2x3 cut. One barrier-Newton solve over PPT
+      states gives both edges, because PPT = separable there.
+    - "frank-wolfe": every larger cut. Frank-Wolfe over product mixtures
+      gives the upper edge, the barrier solve the lower one.
+
+    Problems of equal dimension, flag blocks included, run each optimizer
+    stage together on (n, d, d) stacks, and a problem that has finished a
+    stage drops out of the stack or is masked out. Each problem keeps its
+    own generator seeded with `config.seed` and its own order of draws,
+    and stacked linear algebra gives the same bits per matrix as single
+    calls, so every result is bit-identical to a call with that state
+    alone, whatever else is in the batch.
 
     Parameters
     ----------
@@ -731,40 +893,40 @@ def ree_many(
             raise ValueError(f"total dimension {rho.dims.total} exceeds {MAX_REE_DIM}")
     cfg = config or ReeConfig()
     results: list = [None] * len(states)
-    by_dim: dict[int, list] = {}
+    leaves: list = []
+    trees = []
     for i, (rho, part) in enumerate(zip(states, parts)):
         m, dl, dr, perm = _permute_bipartite(rho, part)
         if min(dl, dr) == 1:
-            # one-sided partition: nothing to entangle
-            results[i] = ReeResult(0.0, 0.0, rho, True, 0, 0.0)
+            # one-sided partition: nothing to entangle, nothing to solve
+            results[i] = ReeResult(0.0, 0.0, rho, True, 0, 0.0, "barrier")
         else:
-            by_dim.setdefault(dl * dr, []).append((i, m, (dl, dr), perm))
+            dims = tuple(rho.dims.dims[p] for p in perm)
+            trees.append((i, m, perm, _flag_tree(m, dims, len(part.left), leaves)))
 
-    for d, group in by_dim.items():
-        index, ms, split, perms = zip(*group)
-        rho = np.stack(ms)
-        t1 = _neg_entropy_nat(rho)
-        gap, iters, sigma = _ree_upper(rho, split, t1, cfg)
-        # tiny maximally mixed admixture keeps the support full without
-        # disturbing separability; value is recomputed on the blended state
-        sigma = (1.0 - 1e-9) * sigma + 1e-9 * np.eye(d) / d
-        upper = _positive(_rel_ent_bits(t1, rho, *np.linalg.eigh(sigma)))
-        lower = _ree_lower(rho, np.stack([_pt_index(*s) for s in split]), t1, upper, cfg)
-        lower = np.where(upper < lower, upper, lower)
-        for j, i in enumerate(index):
-            dims = states[i].dims
-            # either stationarity of the upper search or a bracket already
-            # tighter than the advertised resolution counts as converged;
-            # wide brackets on a stalled search are reported, never hidden
-            converged = gap[j] < cfg.gap_tol or (upper[j] - lower[j]) <= cfg.bracket_tol
-            results[i] = ReeResult(
-                value=float(upper[j]),
-                lower_bound=float(lower[j]),
-                closest_state=DensityMatrix(_unpermute(sigma[j], dims, perms[j]), dims),
-                converged=bool(converged),
-                iterations=int(iters[j]),
-                fw_gap=float(gap[j]),
-            )
+    solved = _solve_leaves(leaves, cfg)
+    for i, m, perm, tree in trees:
+        if isinstance(tree, tuple):
+            lower, sigma, iters, gap, converged = _flag_bracket(tree, solved)
+            sigma = _full_support(sigma)
+            upper = _positive(_rel_ent_bits(_neg_entropy_nat(m[None]), m[None],
+                                            *np.linalg.eigh(sigma[None])))[0]
+            lower = min(lower, upper)
+            converged = converged or upper - lower <= cfg.bracket_tol
+            path = "flags"
+        else:
+            lower, upper, sigma, iters, gap, converged = solved[tree]
+            path = "barrier" if len(m) <= BARRIER_MAX_DIM else "frank-wolfe"
+        dims = states[i].dims
+        results[i] = ReeResult(
+            value=float(upper),
+            lower_bound=float(lower),
+            closest_state=DensityMatrix(_unpermute(sigma, dims, perm), dims),
+            converged=bool(converged),
+            iterations=int(iters),
+            fw_gap=float(gap),
+            path=path,
+        )
     return results
 
 

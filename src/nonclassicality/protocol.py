@@ -41,6 +41,7 @@ from .measures import (
     Bipartition,
     DiscordConfig,
     ReeConfig,
+    ReeResult,
     discord_deficit,
     ree,
     ree_many,
@@ -174,6 +175,20 @@ def _states_at_times(
     return list(evolve_lindblad(rho_start, model, times).states)
 
 
+def _wide_edge(r: ReeResult) -> str:
+    """Which edge of an unconverged bracket holds its width.
+
+    Where Frank-Wolfe ran, its gap bounds how far `value` lies above the
+    REE (up to the local product search behind it): a gap as large as the
+    width may account for all of it, and a smaller one leaves at least
+    width - fw_gap to the lower edge. Where only the barrier ran, both edges
+    come from one solve, whose duality gap is the width.
+    """
+    if r.fw_gap == 0.0:
+        return "both edges"
+    return "upper edge" if r.fw_gap >= r.value - r.lower_bound else "lower edge"
+
+
 def _run_pipeline(
     scenario: TripartiteScenario,
     apply_breaking: bool,
@@ -211,7 +226,8 @@ def _run_pipeline(
                 diagnostics.append(
                     f"{tag} optimizer not converged at t={t:.6g}: bracket "
                     f"[{r.lower_bound:.6g}, {r.value:.6g}], width {r.value - r.lower_bound:.3e} "
-                    f"(fw_gap={r.fw_gap:.3e} after {r.iterations} iterations)"
+                    f"(fw_gap={r.fw_gap:.3e} after {r.iterations} iterations; "
+                    f"{r.path} path, {_wide_edge(r)} wide)"
                 )
 
     gain = max(lo for lo, _ in e_ab) - e_ab[0][1]

@@ -5,7 +5,8 @@ A verbatim copy, kept as the reference that the Frank-Wolfe upper edge of
 and closest state. Its lower edge is the projected PPT descent with a
 Dykstra projection and an ADMM witness that the package has since
 replaced; their budgets, no longer `ReeConfig` fields, are arguments of
-`ree` here. Only the imports and those two arguments differ; the
+`ree` here. Only the imports, those two arguments and the result's
+`path` field (this engine always runs Frank-Wolfe) differ; the
 configuration and result types are the package's own.
 """
 
@@ -383,7 +384,7 @@ def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None,
     m, dl, dr, perm = _permute_bipartite(rho, part)
     if min(dl, dr) == 1:
         # one-sided partition: nothing to entangle
-        return ReeResult(0.0, 0.0, rho, True, 0, 0.0)
+        return ReeResult(0.0, 0.0, rho, True, 0, 0.0, "barrier")
     upper, gap, iters, sigma = _ree_upper(m, dl, dr, cfg)
     # tiny maximally mixed admixture keeps the support full without
     # disturbing separability; value is recomputed on the blended state
@@ -403,4 +404,5 @@ def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None,
         converged=bool(converged),
         iterations=int(iters),
         fw_gap=float(gap),
+        path="frank-wolfe",
     )

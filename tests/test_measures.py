@@ -1,5 +1,7 @@
 """Entanglement and discord measures: golden values and certified brackets."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -132,13 +134,16 @@ ORACLE_BUDGET = ReeConfig(max_iter=8, product_starts=6, product_rounds=8, weight
                           descent_iters=10)
 
 
-def flagged_pure_state(p, rng) -> tuple[DensityMatrix, float]:
-    """sum_c p_c |psi_c><psi_c|_AB (x) |c><c|_C, then a Haar unitary on C,
-    with its exact A:BC REE sum_c p_c S(tr_B psi_c) in bits.
+def flagged_pure_state(p, rng, rotate=True) -> tuple[DensityMatrix, float]:
+    """sum_c p_c |psi_c><psi_c|_AB (x) |c><c|_C, then a Haar unitary on C
+    unless `rotate` is False, with its exact A:BC REE sum_c p_c S(tr_B psi_c)
+    in bits.
 
     The flags sit on the BC side and are orthogonal: measuring them is a
     local operation there, so REE is the average over the flagged pure
-    states, whose REE is the entropy of either marginal.
+    states, whose REE is the entropy of either marginal. Unrotated, C is a
+    flag in the computational basis and `ree` takes the flag path; the
+    rotation hides it and keeps the general 2x4 to 2x8 path under test.
     """
     dc = len(p)
     m = np.zeros((4 * dc, 4 * dc), dtype=complex)
@@ -149,7 +154,7 @@ def flagged_pure_state(p, rng) -> tuple[DensityMatrix, float]:
         flag[c, c] = 1.0
         m += p[c] * np.kron(psi.data, flag)
         exact += p[c] * von_neumann_entropy(partial_trace(psi, ("A",)))
-    u = np.kron(np.eye(4), random_unitary(dc, rng))
+    u = np.kron(np.eye(4), random_unitary(dc, rng) if rotate else np.eye(dc))
     return DensityMatrix(u @ m @ u.conj().T, SystemDims((2, 2, dc), ("A", "B", "C"))), exact
 
 
@@ -164,7 +169,44 @@ class TestReeFlaggedPureOracle:
         p = np.full(dc, 1.0 / dc) if equal else rng.dirichlet(np.ones(dc))
         rho, exact = flagged_pure_state(p, rng)
         res = ree(rho, Bipartition(("A",), ("B", "C")), ORACLE_BUDGET)
+        assert res.path == "frank-wolfe"
         assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
+
+    @pytest.mark.parametrize("equal", (False, True))
+    @pytest.mark.parametrize("dc", (2, 3, 4))
+    def test_unrotated_flags_give_a_tight_bracket(self, dc, equal):
+        rng = np.random.default_rng(100 * dc + equal)
+        p = np.full(dc, 1.0 / dc) if equal else rng.dirichlet(np.ones(dc))
+        rho, exact = flagged_pure_state(p, rng, rotate=False)
+        # default budgets: the flag blocks are 2x2, so no Frank-Wolfe runs
+        res = ree(rho, Bipartition(("A",), ("B", "C")))
+        assert res.path == "flags" and res.fw_gap == 0.0
+        assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
+        assert res.value - res.lower_bound <= 1e-5
+
+    def test_flag_over_rotated_blocks_runs_frank_wolfe_per_block(self):
+        # a qubit flag D over two rotated flagged-pure 2x4 blocks: the blocks
+        # hide their own flags, so each takes the Frank-Wolfe path
+        rng = np.random.default_rng(5)
+        blocks = [flagged_pure_state(rng.dirichlet(np.ones(2)), rng) for _ in range(2)]
+        p = (0.35, 0.65)
+        m = sum(p[c] * np.kron(b.data, np.diag(np.eye(2)[c])) for c, (b, _) in enumerate(blocks))
+        rho = DensityMatrix(m, SystemDims((2, 2, 2, 2), ("A", "B", "C", "D")))
+        exact = sum(p[c] * e for c, (_, e) in enumerate(blocks))
+        res = ree(rho, Bipartition(("A",), ("B", "C", "D")), ORACLE_BUDGET)
+        assert res.path == "flags" and res.iterations > 0
+        assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
+
+    def test_coherence_above_the_flag_tolerance_takes_the_general_path(self):
+        # 1e-9 between the flag values is far above FLAG_TOL: C is no flag
+        rng = np.random.default_rng(7)
+        rho, _ = flagged_pure_state(np.array([0.6, 0.4]), rng, rotate=False)
+        psi = [np.linalg.eigh(rho.data)[1][:, k] for k in (-1, -2)]
+        coherence = 1e-9 * np.outer(psi[0], psi[1].conj())
+        rho = DensityMatrix(rho.data + coherence + coherence.conj().T, rho.dims)
+        res = ree(rho, Bipartition(("A",), ("B", "C")), ORACLE_BUDGET)
+        assert res.path == "frank-wolfe"
+        assert 0.0 <= res.lower_bound <= res.value
 
 
 # Frank-Wolfe kept short, the lower edge's Newton budget at its default:
@@ -193,6 +235,88 @@ class TestReeIsotropicWernerOracle:
         res = ree(rho, Bipartition(("A",), ("B",)), OPEN_FW_BUDGET)
         assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
         assert exact - res.lower_bound <= 1e-5
+
+
+def bell_block(weight):
+    """A rank-4 Bell-diagonal state with top weight `weight`, and its REE."""
+    rest = (1.0 - weight) / 3
+    return bell_diagonal((weight, rest, rest, rest)), 1.0 - binary_entropy(weight)
+
+
+def flag_blocks(blocks, p, flag_at):
+    """sum_c p_c rho_c (x) |c><c| with the flag either last ("C", on the
+    BC side of an A:BC cut) or first ("A", on the AB side of an AB:C cut),
+    and the exact REE sum_c p_c E(rho_c) across that cut."""
+    dc = len(blocks)
+    m = sum(p[c] * (np.kron(b.data, np.diag(np.eye(dc)[c])) if flag_at == "C"
+                    else np.kron(np.diag(np.eye(dc)[c]), b.data))
+            for c, (b, _) in enumerate(blocks))
+    if flag_at == "C":
+        dims, part = SystemDims((2, 2, dc), ("A", "B", "C")), Bipartition(("A",), ("B", "C"))
+    else:
+        dims, part = SystemDims((dc, 2, 2), ("A", "B", "C")), Bipartition(("A", "B"), ("C",))
+    return DensityMatrix(m, dims), part, float(sum(p[c] * e for c, (_, e) in enumerate(blocks)))
+
+
+class TestReeFlagBlocksOracle:
+    # two-qubit blocks behind a qubit flag on either side of the cut, and
+    # three behind a qutrit flag: the flag path brackets each block with
+    # the barrier, so both edges reach the exact value
+    FAMILIES = {
+        "bell": bell_block,
+        "isotropic": functools.partial(isotropic_state, 2),
+        "werner": functools.partial(werner_state, 2),
+    }
+
+    @pytest.mark.parametrize("flag_at, dc", [("C", 2), ("A", 2), ("C", 3)])
+    @pytest.mark.parametrize("family", ("bell", "isotropic", "werner"))
+    def test_bracket_contains_exact_value_and_is_tight(self, family, flag_at, dc):
+        blocks = [self.FAMILIES[family](w) for w in (0.9, 0.6, 0.75)[:dc]]
+        p = np.random.default_rng(dc).dirichlet(np.ones(dc))
+        rho, part, exact = flag_blocks(blocks, p, flag_at)
+        res = ree(rho, part, OPEN_FW_BUDGET)
+        assert res.path == "flags"
+        assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
+        assert res.value - res.lower_bound <= 1e-5
+
+
+class TestReeBarrierPath:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("dims", ((2, 3), (3, 2)))
+    def test_pure_2x3_state_matches_marginal_entropy(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        rho = pure(rng.normal(size=6) + 1j * rng.normal(size=6), dims, ("A", "B"))
+        exact = von_neumann_entropy(partial_trace(rho, ("A",)))
+        res = ree(rho, Bipartition(("A",), ("B",)), OPEN_FW_BUDGET)
+        assert res.path == "barrier" and res.fw_gap == 0.0 and res.iterations > 0
+        assert res.lower_bound - 1e-9 <= exact <= res.value + 1e-9
+        assert res.value - res.lower_bound <= 1e-5
+
+    @pytest.mark.parametrize("case", ("2x2", "2x3", "flags"))
+    def test_closest_state_is_ppt_and_gives_the_value(self, case):
+        rng = np.random.default_rng(31)
+        if case == "flags":
+            blocks = [isotropic_state(2, 0.8), werner_state(2, 0.7)]
+            rho, part, _ = flag_blocks(blocks, (0.3, 0.7), "C")
+            flipped_label = "C"
+        else:
+            dims = (2, 2) if case == "2x2" else (2, 3)
+            rho = dm(random_state(int(np.prod(dims)), rng, rank=2), dims, ("A", "B"))
+            part, flipped_label = Bipartition(("A",), ("B",)), "B"
+        res = ree(rho, part)
+        assert res.path == ("flags" if case == "flags" else "barrier")
+        sigma = res.closest_state.data
+        assert np.linalg.eigvalsh(sigma).min() > 0.0
+        assert np.linalg.eigvalsh(partial_transpose(res.closest_state, flipped_label)).min() > 0.0
+        # S(rho||sigma) from eigendecompositions, in bits
+        w, v = np.linalg.eigh(rho.data)
+        w = w[w > 1e-14]
+        s_rho = float(np.sum(w * np.log2(w)))
+        ls, vs = np.linalg.eigh(sigma)
+        log_sigma = (vs * np.log2(ls)) @ vs.conj().T
+        exact = s_rho - float(np.trace(rho.data @ log_sigma).real)
+        assert res.value == pytest.approx(exact, abs=1e-10)
+        assert 0.0 <= res.lower_bound <= res.value
 
 
 class TestReeBellDiagonal:

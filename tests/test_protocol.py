@@ -211,16 +211,24 @@ class TestRunDetection:
     def test_not_converged_diagnostic_carries_the_bracket(self, starved_report):
         rep = starved_report
         pattern = re.compile(r"(e_abc?) optimizer not converged at t=(\S+): "
-                             r"bracket \[(\S+), (\S+)\], width (\S+) \(fw_gap=")
+                             r"bracket \[(\S+), (\S+)\], width (\S+) \(fw_gap=(\S+) "
+                             r"after \d+ iterations; (frank-wolfe|barrier|flags) path, "
+                             r"(upper edge|lower edge|both edges) wide\)$")
         notes = [pattern.match(d) for d in rep.diagnostics if "not converged" in d]
         assert notes and all(notes)
-        for tag, t, lo, hi, width in (m.groups() for m in notes):
+        paths = set()
+        for tag, t, lo, hi, width, gap, path, edge in (m.groups() for m in notes):
+            paths.add((tag, path))
+            # only a Frank-Wolfe search leaves a gap to compare the width with
+            assert (edge == "both edges") == (float(gap) == 0.0)
             i = [f"{x:.6g}" for x in rep.times].index(t)
             want_lo, want_hi = getattr(rep, tag)[i]
             assert float(lo) == pytest.approx(want_lo, rel=1e-5, abs=1e-12)
             assert float(hi) == pytest.approx(want_hi, rel=1e-5, abs=1e-12)
             assert float(width) == pytest.approx(want_hi - want_lo, rel=1e-3, abs=1e-12)
             assert float(width) > 1e-12  # wider than the starved bracket_tol
+        # the 2x2 marginals take the barrier, the later A:BC states Frank-Wolfe
+        assert ("e_ab", "barrier") in paths and ("e_abc", "frank-wolfe") in paths
 
 
 class TestOpenEvolution:
