@@ -9,19 +9,19 @@ definite point, so the lower edge is sound however far the solve got, and
 at the default budgets it closes the PPT problem to about 1e-7 bits. Its
 upper edge is S(rho||sigma) at a separable sigma: on 2x2 and 2x3 cuts,
 where PPT = separable, the barrier's own final sigma; on larger cuts an
-explicit product mixture found by Frank-Wolfe. A state with a classical
+explicit product mixture found by sliding Frank-Wolfe, which moves every
+atom and weight by L-BFGS after each step. A state with a classical
 flag, rho = sum_c p_c rho_c (x) |c><c|, is bracketed block by block (REE
 is additive over flags), so the theorem suite's classical-mediator states
 become 2x2 barrier solves. The relative entropy of discord (one-way
 deficit) is minimized over von Neumann bases on the measured subsystem.
 
-There is one REE engine, `ree_many`. It brackets many states in lockstep:
-every optimizer stage runs on (n, d, d) stacks, and a state that has
-finished a stage leaves the stack or is masked out. Each state keeps its
-own random generator, and stacked numpy linear algebra returns the same
-bits per matrix as a single call, so a state's bracket is bit-identical
-whatever else is in the batch; `ree` is the one-state call. There is no
-option to turn the stacking off.
+There is one REE engine, `ree_many`. The barrier solve runs on (n, d, d)
+stacks, and a state that has finished leaves the stack or is masked out;
+stacked numpy linear algebra returns the same bits per matrix as a single
+call. Frank-Wolfe runs problem by problem, each with its own random
+generator. So a state's bracket is bit-identical whatever else is in the
+batch; `ree` is the one-state call.
 
 On top of those sit two checkers: the entanglement-relocation inequality
 |E(A:BC) - E(AC:B)| <= D(AB|C), and the initial-purity bound
@@ -196,20 +196,6 @@ def _grad_log_term(lam, u, rho, floor=1e-14) -> np.ndarray:
     return 0.5 * (g + _dag(g))
 
 
-def _simplex_proj(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of `v` onto {w >= 0, sum w = 1}.
-
-    Entries of -inf get weight 0 and leave the other entries' projection
-    untouched.
-    """
-    n, k = v.shape
-    desc = np.sort(v, axis=1)[:, ::-1]
-    # threshold (cumsum - 1) / j at the last j where desc_j exceeds it
-    q = (np.add.accumulate(desc, axis=1) - 1.0) / np.arange(1.0, k + 1)
-    last = (k - 1) - (desc > q)[:, ::-1].argmax(axis=1)
-    return np.maximum(v - q[np.arange(n), last][:, None], 0.0)
-
-
 def _positive(x: np.ndarray) -> np.ndarray:
     """max(0.0, x) per entry, with Python's tie rule (a zero stays +0.0)."""
     return np.where(x > 0.0, x, 0.0)
@@ -224,10 +210,13 @@ class ReeConfig:
     """Optimizer budgets for the REE bracket.
 
     `max_iter`, `product_starts`, `product_rounds` and `weight_iters` bound
-    the Frank-Wolfe upper edge of cuts larger than 2x3; `descent_iters` is
-    the number of Newton steps per problem of the barrier solve behind the
-    lower edge, and behind both edges on 2x2 and 2x3 cuts. The defaults
-    finish a dimension-8 bracket in about a second. Shrinking any
+    the Frank-Wolfe upper edge of cuts larger than 2x3: `weight_iters` is
+    the L-BFGS iteration budget of the slide that moves every atom and
+    weight after the start and after each Frank-Wolfe step (0 turns the
+    slide off). `descent_iters` is the number of Newton steps per problem
+    of the barrier solve behind the lower edge, and behind both edges on
+    2x2 and 2x3 cuts. At the defaults a generic 2x4 bracket takes well
+    under half a second and closes to 1e-3 bits or better. Shrinking any
     budget loosens the bracket but never invalidates it.
     Budgets are checked at construction: counts are non-negative integers,
     `product_rounds` is at least 1, tolerances are finite and positive.
@@ -267,9 +256,9 @@ class ReeResult:
     `closest_state` is the separable state achieving `value`, so `value` is
     a true upper bound regardless of convergence. It is separable by
     construction on every path: an explicit mixture of product states from
-    Frank-Wolfe ("frank-wolfe"), a strictly PPT state on a 2x2 or 2x3 cut,
-    separable there by the PPT = SEP theorem ("barrier"), or a flag mixture
-    sum_c p_c sigma_c (x) |c><c| of such states ("flags").
+    sliding Frank-Wolfe ("frank-wolfe"), a strictly PPT state on a 2x2 or
+    2x3 cut, separable there by the PPT = SEP theorem ("barrier"), or a
+    flag mixture sum_c p_c sigma_c (x) |c><c| of such states ("flags").
     `lower_bound` is the best weak-duality certificate over the PPT states
     met by the barrier-Newton solve (p-weighted over flag blocks), capped at
     `value`; it is a true lower bound at any budget.
@@ -293,147 +282,62 @@ class ReeResult:
     path: str
 
 
-class _ProductEnsemble:
-    """sigma = sum_k w_k |a_k b_k><a_k b_k| with columnwise product vectors."""
-
-    def __init__(self, dl: int, dr: int):
-        self.dl, self.dr = dl, dr
-        self.vecs = np.zeros((dl * dr, 0), dtype=complex)
-        self.w = np.zeros(0)
-
-    def add(self, a: np.ndarray, b: np.ndarray, weight: float):
-        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        self.vecs = np.concatenate([self.vecs, v[:, None]], axis=1)
-        self.w = np.append(self.w, weight)
-
-    def prune(self, tol: float = 1e-11) -> bool:
-        keep = self.w > tol
-        if not keep.all():
-            self.vecs = self.vecs[:, keep]
-            self.w = self.w[keep] / self.w[keep].sum()
-            return True
-        return False
-
-    def cap(self, kmax: int) -> bool:
-        if self.vecs.shape[1] > kmax:
-            order = np.argsort(self.w)[::-1][:kmax]
-            self.vecs = self.vecs[:, order]
-            self.w = self.w[order] / self.w[order].sum()
-            return True
-        return False
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows a_k (x) b_k, one per atom (a_k, b_k)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
-def _atom_groups(vecs: list):
-    """Problems sorted by atom count, for products over atoms.
+def _mixture(a, b, w) -> np.ndarray:
+    """sum_k w_k |a_k b_k><a_k b_k| as a stack of one."""
+    v = _products(a, b)
+    return ((v.T * w) @ v.conj())[None]
 
-    Returns (order, sizes, groups): the i-th problem in sorted order is
-    order[i] and has sizes[i] atoms; each group (lo, hi, k, v, vh) covers
-    the sorted positions lo..hi-1, which share k atoms, with their atom
-    vectors stacked in v and their adjoints in vh. Products are stacked
-    only within a group, because a zero-padded product is not bit-equal.
+
+def _slide(a, b, w, rho, t1, iters):
+    """Move every atom and weight at once by one L-BFGS descent (sliding
+    Frank-Wolfe, Denoyelle, Duval, Peyre & Soubies, arXiv:1811.06416).
+
+    sigma = sum_k v_k v_k^H / tau with v_k = a_k (x) b_k unnormalised and
+    tau = sum_k |v_k|^2, so atom k weighs |a_k|^2 |b_k|^2 / tau. With G from
+    `_grad_log_term` and Tr(sigma G) = 1, the gradient of S(rho||sigma) in
+    conj(a_k) is -(I (x) b_k^H)(G - I) v_k / (tau ln 2), and likewise in
+    conj(b_k). Runs at most `iters` iterations and returns unit atoms and
+    their weights; atoms of weight at most 1e-11 are dropped before their
+    norms are divided out.
     """
-    sizes = np.array([v.shape[1] for v in vecs])
-    order = np.argsort(sizes, kind="stable")
-    sizes = sizes[order]
-    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(vecs)]
-    groups = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v = np.stack([vecs[order[i]] for i in range(lo, hi)])
-        groups.append((lo, hi, sizes[lo], v, _dag(v)))
-    return order, sizes, groups
+    if not iters:
+        return a, b, w
+    # imported here: scipy.optimize costs about 0.1 s at import
+    from scipy.optimize import minimize
 
+    k, dl, dr = len(w), a.shape[1], b.shape[1]
+    eye = np.eye(dl * dr)
 
-def _padded(rows: list, order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The rows in sorted order, zero-padded into one array."""
-    out = np.zeros((len(rows), sizes[-1]))
-    out[np.arange(sizes[-1]) < sizes[:, None]] = np.concatenate([rows[i] for i in order])
-    return out
+    def unpack(x):
+        z = x[:x.size // 2] + 1j * x[x.size // 2:]
+        return z[:k * dl].reshape(k, dl), z[k * dl:].reshape(k, dr)
 
+    def objective(x):
+        a, b = unpack(x)
+        v = _products(a, b)
+        tau = np.vdot(v, v).real
+        lam, u = np.linalg.eigh((v.T @ v.conj() / tau)[None])
+        gv = (v @ (_grad_log_term(lam, u, rho)[0] - eye).T).reshape(k, dl, dr)
+        z = np.concatenate([np.einsum("kij,kj->ki", gv, b.conj()).ravel(),
+                            np.einsum("kij,ki->kj", gv, a.conj()).ravel()])
+        z *= -2.0 / (tau * LN2)  # real gradient: twice the conjugate one
+        return _rel_ent_bits(t1, rho, lam, u)[0], np.concatenate([z.real, z.imag])
 
-def _group_mixtures(groups, w) -> np.ndarray:
-    """sum_k w_k |v_k><v_k| per problem, stacked in sorted order; `w` holds
-    one padded weight row per problem."""
-    return np.concatenate([(v * w[lo:hi, None, :k]) @ vh for lo, hi, k, v, vh in groups])
-
-
-def _select_groups(groups, rows) -> list:
-    """The atom groups of the problems at sorted positions `rows`
-    (ascending), renumbered 0..len(rows)-1 in that order."""
-    out = []
-    for lo, hi, k, v, vh in groups:
-        a, b = rows.searchsorted((lo, hi))
-        if a < b:
-            sel = rows[a:b] - lo
-            out.append((a, b, k, v[sel], vh[sel]))
-    return out
-
-
-def _mixtures(ens: list) -> np.ndarray:
-    """(n, d, d) stack of the ensembles' mixtures, in the given order."""
-    order, sizes, groups = _atom_groups([e.vecs for e in ens])
-    sig = _group_mixtures(groups, _padded([e.w for e in ens], order, sizes))
-    return sig[np.argsort(order)]
-
-
-def _reoptimize_weights(ens, rho, t1, f0, eig, iters):
-    """Fully corrective step: projected gradient on the simplex with Armijo.
-
-    Runs every problem of the stack in lockstep until it stops improving.
-    Steps are measured against the gradient's sup norm; near-singular
-    ensembles make the raw gradient arbitrarily large and absolute steps
-    would backtrack forever without moving. `eig` holds the eigenpairs of
-    the current mixtures. Sets each ensemble's weights and returns the
-    values and eigenpairs of the final mixtures.
-
-    Each Armijo trial is evaluated for every row under trial, and a mask
-    picks the rows that take it. A line search starts on the whole stack,
-    problems that stopped improving masked out; once some rows have taken
-    a step it goes on with the rows still backtracking only, so rows are
-    gathered only when that set changes.
-
-    Problems are sorted by atom count. Products over atoms run per count,
-    because a zero-padded product is not bit-equal. The weight rows share
-    one array; its padding has gradient +inf, so every trial point is -inf
-    there and stays out of the simplex projection.
-    """
-    n = len(ens)
-    order, sizes, groups = _atom_groups([e.vecs for e in ens])
-    w = _padded([e.w for e in ens], order, sizes)
-    rho, t1, f = rho[order], t1[order], f0[order]
-    lam, u = eig[0][order], eig[1][order]
-    x = np.full(w.shape, np.inf)
-    step = np.ones((n, 1))
-    going = np.ones(n, dtype=bool)  # not yet stopped improving
-    for _ in range(iters):
-        if not going.any():
-            break
-        g = _grad_log_term(lam, u, rho)
-        for lo, hi, k, v, vh in groups:
-            xg = -np.einsum("ndk,ndk->nk", vh.swapaxes(1, 2), g[lo:hi] @ v).real / LN2
-            x[lo:hi, :k] = xg / np.maximum(1.0, np.abs(xg).max(axis=1, keepdims=True))
-        rows, pending, sub = np.arange(n), going.copy(), groups
-        wr, xr, sr, tr, rr, fr = w, x, step.copy(), t1, rho, f
-        for _ in range(25):
-            w2 = _simplex_proj(wr - sr * xr)
-            lam2, u2 = np.linalg.eigh(_group_mixtures(sub, w2))
-            f2 = _rel_ent_bits(tr, rr, lam2, u2)
-            ok = pending & (f2 < fr - 1e-13)
-            acc = rows[ok]
-            w[acc], f[acc], lam[acc], u[acc] = w2[ok], f2[ok], lam2[ok], u2[ok]
-            step[acc] = np.minimum(sr[ok] * 1.5, 20.0)
-            pending &= ~ok
-            if not pending.any():
-                break
-            if ok.any():  # go on with the rows still backtracking
-                rows, sub = rows[pending], _select_groups(groups, rows[pending])
-                wr, xr, sr, tr, rr, fr = (a[pending] for a in (wr, xr, sr, tr, rr, fr))
-                pending = np.ones(rows.size, dtype=bool)
-            sr = sr * 0.4
-        going[rows[pending]] = False
-    for i, size, row in zip(order, sizes, w):
-        ens[i].w = row[:size]
-    back = np.argsort(order)
-    return f[back], (lam[back], u[back])
+    z = np.concatenate([(a * np.sqrt(w)[:, None]).ravel(), b.ravel()])
+    res = minimize(objective, np.concatenate([z.real, z.imag]), jac=True, method="L-BFGS-B",
+                   options={"maxiter": iters, "gtol": 1e-12, "ftol": 1e-15})
+    if not res.nit:  # a stationary start stays as it was, bit for bit
+        return a, b, w
+    a, b = unpack(res.x)
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    w = (na * nb) ** 2
+    keep = w > 1e-11 * w.sum()
+    return a[keep] / na[keep, None], b[keep] / nb[keep, None], w[keep] / w[keep].sum()
 
 
 def _schmidt_split(vec: np.ndarray, dl: int, dr: int):
@@ -442,43 +346,28 @@ def _schmidt_split(vec: np.ndarray, dl: int, dr: int):
     return [(ua[:, i], vb[i, :], s[i] ** 2) for i in range(len(s)) if s[i] > 1e-8]
 
 
-def _best_product(g, ens, rngs, n_starts, rounds):
-    """max <a x b| g |a x b> per problem, by alternating top-eigenvector sweeps.
+def _best_product(g, a0, b0, rng, n_starts, rounds):
+    """max <a x b| g |a x b> over unit a, b, by alternating top-eigenvector
+    sweeps from `n_starts` random starts and from the atoms (a0, b0).
 
     Local search; used both to grow the ensemble and to estimate the FW
-    stationarity gap. Each problem draws its random starts from its own
-    generator and adds its two heaviest atoms as starts, so a converged
-    ensemble reproduces its own atoms instead of oscillating. Problems
-    sharing (dl, dr) and their number of starts sweep in one stack.
-    Returns the values and the maximizing (a, b) per problem.
+    stationarity gap. Starting from the heaviest atoms lets a converged
+    ensemble reproduce its own atoms instead of oscillating. Returns the
+    value and the maximizing a and b.
     """
-    starts, kinds = [], {}
-    for j, (e, rng) in enumerate(zip(ens, rngs)):
-        a = rng.normal(size=(n_starts, e.dl)) + 1j * rng.normal(size=(n_starts, e.dl))
-        b = rng.normal(size=(n_starts, e.dr)) + 1j * rng.normal(size=(n_starts, e.dr))
-        for k in np.argsort(e.w)[-2:]:
-            ua, _, vb = np.linalg.svd(e.vecs[:, k].reshape(e.dl, e.dr))
-            a = np.concatenate([a, ua[:, 0][None, :]])
-            b = np.concatenate([b, vb[0, :].conj()[None, :]])
-        starts.append((a, b))
-        kinds.setdefault((e.dl, e.dr, len(a)), []).append(j)
-    val, found = np.empty(len(ens)), [None] * len(ens)
-    for (dl, dr, _), js in kinds.items():
-        gt = g[js].reshape(len(js), dl, dr, dl, dr)
-        a = np.stack([starts[j][0] for j in js])
-        b = np.stack([starts[j][1] for j in js])
-        a /= np.linalg.norm(a, axis=2, keepdims=True)
-        b /= np.linalg.norm(b, axis=2, keepdims=True)
-        for _ in range(rounds):
-            ma = np.einsum("nijkl,nsj,nsl->nsik", gt, b.conj(), b)
-            a = np.linalg.eigh(ma)[1][:, :, :, -1]
-            mb = np.einsum("nijkl,nsi,nsk->nsjl", gt, a.conj(), a)
-            wb, vb = np.linalg.eigh(mb)
-            b = vb[:, :, :, -1]
-        top = np.argmax(wb[:, :, -1], axis=1)
-        for j, t, wj, aj, bj in zip(js, top, wb, a, b):
-            val[j], found[j] = wj[t, -1], (aj[t], bj[t])
-    return val, found
+    dl, dr = a0.shape[1], b0.shape[1]
+    gt = g.reshape(dl, dr, dl, dr)
+    a = rng.normal(size=(n_starts, dl)) + 1j * rng.normal(size=(n_starts, dl))
+    b = rng.normal(size=(n_starts, dr)) + 1j * rng.normal(size=(n_starts, dr))
+    a, b = np.concatenate([a, a0]), np.concatenate([b, b0])
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    for _ in range(rounds):
+        a = np.linalg.eigh(np.einsum("ijkl,sj,sl->sik", gt, b.conj(), b))[1][:, :, -1]
+        wb, vb = np.linalg.eigh(np.einsum("ijkl,si,sk->sjl", gt, a.conj(), a))
+        b = vb[:, :, -1]
+    top = np.argmax(wb[:, -1])
+    return wb[top, -1], a[top], b[top]
 
 
 def _line_search(t1, rho, sig, pi):
@@ -509,66 +398,41 @@ def _line_search(t1, rho, sig, pi):
     return tb, values(tb[:, None])[:, 0]
 
 
-def _ree_upper(rho, split, t1, cfg: ReeConfig):
-    """Frank-Wolfe minimization of S(rho||sigma) over product mixtures.
+def _ree_upper(rho, dl, dr, t1, cfg: ReeConfig):
+    """Sliding Frank-Wolfe minimization of S(rho||sigma) over product
+    mixtures, for one problem.
 
-    `rho` is an (n, d, d) stack and `split` its (dl, dr) per problem; each
-    problem draws from its own generator seeded with `cfg.seed`. Returns
-    the final FW gap in bits, the iteration count and the separable sigma
-    of each problem. The initial ensemble dephases every eigenvector of
-    rho in its Schmidt basis, which already solves pure inputs exactly.
+    `rho` and `t1` are stacks of one. The initial ensemble dephases every
+    eigenvector of rho in its Schmidt basis, which already solves pure
+    inputs exactly. After that start and after every FW step, `_slide`
+    moves all atoms and weights for up to `cfg.weight_iters` iterations.
+    The search stops once the FW gap is below `cfg.gap_tol`, or after
+    `cfg.max_iter` iterations; its random product starts come from a
+    generator seeded with `cfg.seed`. Returns the final FW gap in bits,
+    the iteration count and the separable sigma.
     """
-    n = rho.shape[0]
-    rngs = [np.random.default_rng(cfg.seed) for _ in range(n)]
-    ens = [_ProductEnsemble(dl, dr) for dl, dr in split]
-    for e, wr, vr in zip(ens, *np.linalg.eigh(rho)):
-        for i in range(len(wr)):
-            if wr[i] > 1e-10:
-                for a, b, s2 in _schmidt_split(vr[:, i], e.dl, e.dr):
-                    e.add(a, b, wr[i] * s2)
-        e.w = e.w / e.w.sum()
-    eig = np.linalg.eigh(_mixtures(ens))
-    f, (lam, u) = _reoptimize_weights(ens, rho, t1, _rel_ent_bits(t1, rho, *eig), eig,
-                                      cfg.weight_iters)
-
-    gap = np.full(n, math.inf)
-    iters = np.zeros(n, dtype=int)
-    stale = np.zeros(n, dtype=bool)  # (lam, u) no longer that of the ensemble
-    active = np.arange(n)
+    rng = np.random.default_rng(cfg.seed)
+    wr, vr = np.linalg.eigh(rho[0])
+    atoms = [(a, b, wr[i] * s2) for i in range(len(wr)) if wr[i] > 1e-10
+             for a, b, s2 in _schmidt_split(vr[:, i], dl, dr)]
+    a, b, w = (np.array(x) for x in zip(*atoms))
+    a, b, w = _slide(a, b, w / w.sum(), rho, t1, cfg.weight_iters)
+    gap, it = math.inf, 0
     for it in range(1, cfg.max_iter + 1):
-        iters[active] = it
-        sig = _mixtures([ens[i] for i in active])
-        redo = stale[active]
-        if redo.any():
-            lam[active[redo]], u[active[redo]] = np.linalg.eigh(sig[redo])
-            stale[active] = False
-        val, found = _best_product(_grad_log_term(lam[active], u[active], rho[active]),
-                                   [ens[i] for i in active], [rngs[i] for i in active],
-                                   cfg.product_starts, cfg.product_rounds)
-        gap[active] = np.maximum(val - 1.0, 0.0) / LN2  # Tr(sigma G) = 1 exactly
-        going = ~(gap[active] < cfg.gap_tol)
-        active, sig = active[going], sig[going]
-        if not active.size:
+        sig = _mixture(a, b, w)
+        lam, u = np.linalg.eigh(sig)
+        heavy = np.argsort(w)[-2:]
+        val, pa, pb = _best_product(_grad_log_term(lam, u, rho)[0], a[heavy], b[heavy], rng,
+                                    cfg.product_starts, cfg.product_rounds)
+        gap = max(val - 1.0, 0.0) / LN2  # Tr(sigma G) = 1 exactly
+        if gap < cfg.gap_tol:
             break
-        found = [ab for ab, keep in zip(found, going) if keep]
-        pi = np.stack([np.outer(v, v.conj()) for v in (np.kron(a, b) for a, b in found)])
-        tb, f_new = _line_search(t1[active], rho[active], sig, pi)
-        better = f_new < f[active]
-        for j in np.flatnonzero(better):
-            e = ens[active[j]]
-            e.w = e.w * (1 - tb[j])
-            e.add(*found[j], tb[j])
-        grown = active[better]
-        if grown.size:
-            f[grown] = f_new[better]
-            lam[grown], u[grown] = np.linalg.eigh(_mixtures([ens[i] for i in grown]))
-        f[active], (lam[active], u[active]) = _reoptimize_weights(
-            [ens[i] for i in active], rho[active], t1[active], f[active],
-            (lam[active], u[active]), cfg.weight_iters)
-        for i in active:
-            e = ens[i]
-            stale[i] = e.prune() | e.cap((e.dl * e.dr) ** 2)
-    return gap, iters, _mixtures(ens)
+        v = np.kron(pa, pb)
+        tb, f_new = _line_search(t1, rho, sig, np.outer(v, v.conj())[None])
+        if f_new[0] < _rel_ent_bits(t1, rho, lam, u)[0]:
+            a, b, w = np.vstack([a, pa]), np.vstack([b, pb]), np.append(w * (1 - tb[0]), tb[0])
+        a, b, w = _slide(a, b, w, rho, t1, cfg.weight_iters)
+    return gap, it, _mixture(a, b, w)[0]
 
 
 # --------------------------------------------------------------------------
@@ -827,7 +691,9 @@ def _solve_leaves(leaves: list, cfg: ReeConfig) -> list:
             gap = np.zeros(len(js))
             upper = _positive(_rel_ent_bits(t1, rho, *np.linalg.eigh(sigma)))
         else:
-            gap, iters, sigma = _ree_upper(rho, split, t1, cfg)
+            fw = [_ree_upper(rho[j:j + 1], dl, dr, t1[j:j + 1], cfg)
+                  for j, (dl, dr) in enumerate(split)]
+            gap, iters, sigma = (np.array(x) for x in zip(*fw))
             sigma = _full_support(sigma)
             upper = _positive(_rel_ent_bits(t1, rho, *np.linalg.eigh(sigma)))
             lower = _ree_lower(rho, pt, t1, upper, cfg)[0]
@@ -846,7 +712,7 @@ def ree_many(
     parts: Sequence[Bipartition],
     config: ReeConfig | None = None,
 ) -> list[ReeResult]:
-    """Certified REE brackets for many states, in bits, in one lockstep run.
+    """Certified REE brackets for many states, in bits, in one call.
 
     This is the only REE engine. Each state takes one of three paths,
     named in `ReeResult.path`:
@@ -861,16 +727,16 @@ def ree_many(
       whether the bracket is tight.
     - "barrier": a 2x2 or 2x3 cut. One barrier-Newton solve over PPT
       states gives both edges, because PPT = separable there.
-    - "frank-wolfe": every larger cut. Frank-Wolfe over product mixtures
-      gives the upper edge, the barrier solve the lower one.
+    - "frank-wolfe": every larger cut. Sliding Frank-Wolfe over product
+      mixtures gives the upper edge, the barrier solve the lower one.
 
-    Problems of equal dimension, flag blocks included, run each optimizer
-    stage together on (n, d, d) stacks, and a problem that has finished a
-    stage drops out of the stack or is masked out. Each problem keeps its
-    own generator seeded with `config.seed` and its own order of draws,
-    and stacked linear algebra gives the same bits per matrix as single
-    calls, so every result is bit-identical to a call with that state
-    alone, whatever else is in the batch.
+    Barrier problems of equal dimension, flag blocks included, run
+    together on (n, d, d) stacks, and a problem that has finished drops
+    out of the stack or is masked out; stacked linear algebra gives the
+    same bits per matrix as single calls. Frank-Wolfe runs one problem at
+    a time, with a generator seeded with `config.seed`. So every result is
+    bit-identical to a call with that state alone, whatever else is in the
+    batch.
 
     Parameters
     ----------

@@ -12,6 +12,7 @@ from nonclassicality.core import (
     partial_trace,
     partial_transpose,
     von_neumann_entropy,
+    wishart_state,
 )
 from nonclassicality.dynamics import evolve_closed
 from nonclassicality.measures import (
@@ -24,6 +25,7 @@ from nonclassicality.measures import (
     purity_criterion,
     ree,
     ree_bell_diagonal,
+    ree_many,
 )
 from nonclassicality.protocol import SUITE_REE_CONFIG
 
@@ -317,6 +319,29 @@ class TestReeBarrierPath:
         exact = s_rho - float(np.trace(rho.data @ log_sigma).real)
         assert res.value == pytest.approx(exact, abs=1e-10)
         assert 0.0 <= res.lower_bound <= res.value
+
+
+class TestReeFrankWolfeNoStall:
+    def test_mixed_2x4_and_2x6_brackets_close_at_the_suite_budget(self):
+        # generic mixed states, where plain Frank-Wolfe ran out of
+        # iterations with gaps of 1e-2 and more; the rank-2 2x6 state
+        # bracketed at [0.5650, 0.6451] before the atoms could slide
+        rng = np.random.default_rng(8)
+        states, parts = [], []
+        for rank in (2, 3, 5, 8):
+            rho = DensityMatrix(wishart_state(8, rng, rank=rank), TRIPLE)
+            states += [rho, rho]
+            parts += [Bipartition(("A",), ("B", "C")), Bipartition(("A", "C"), ("B",))]
+        qutrit_c = SystemDims((2, 2, 3), ("A", "B", "C"))
+        states.append(DensityMatrix(wishart_state(12, np.random.default_rng(3), rank=2),
+                                    qutrit_c))
+        parts.append(Bipartition(("A",), ("B", "C")))
+        results = ree_many(states, parts, SUITE_REE_CONFIG)
+        for res in results:
+            assert res.path == "frank-wolfe"
+            assert 0.0 <= res.lower_bound <= res.value <= res.lower_bound + 2e-3
+        for res in results[:-1]:  # the 2x4 searches end stationary
+            assert res.fw_gap < SUITE_REE_CONFIG.gap_tol
 
 
 class TestReeBellDiagonal:

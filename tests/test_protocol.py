@@ -154,7 +154,9 @@ class TestNamedScenarios:
 
 @pytest.fixture(scope="module")
 def starved_report():
-    tiny = ReeConfig(max_iter=2, descent_iters=5, gap_tol=1e-12, bracket_tol=1e-12)
+    # no slide: two bare Frank-Wolfe steps leave the A:BC upper edge wide
+    tiny = ReeConfig(max_iter=2, weight_iters=0, descent_iters=5, gap_tol=1e-12,
+                     bracket_tol=1e-12)
     return run_detection(scenario_gain_example(2), ree_config=tiny)
 
 

@@ -1,19 +1,17 @@
-"""The lockstep REE engine against the single-state engine it replaced.
+"""The REE engine against the single-state engine it replaced.
 
-`reference_ree` is that engine, verbatim. On the Frank-Wolfe path the
-upper search must give equal results, not close ones: the engine's output
-is chaotic in the last bits (reassociating one einsum of the product
-search moved 28 of the 32 benchmark relocation brackets, one of them
-wider by 0.12 bits), so only a bit-identical engine keeps every bracket
-where it was. The lower edge is a different algorithm now (a
-barrier-Newton solve over PPT states in place of the reference's projected
-descent): at any budget it must lie in [0, value]; at the default budget
-it must reach the reference's certificate to within 1e-6 bits, and a
-bracket the reference calls converged stays converged. The 2x2 and 2x3
-problems and the flagged ones take the barrier and flag paths, which run
-no Frank-Wolfe: their brackets must lie in [0, value] and overlap the
-reference's, since both contain the exact value. Within the engine,
-batched and single calls agree on every field.
+`reference_ree` is that engine, verbatim. Both edges are different
+algorithms now: the upper edge slides every atom of its product mixture
+after each Frank-Wolfe step (in place of the reference's weight-only
+corrective step), and the lower edge is a barrier-Newton solve over PPT
+states (in place of the reference's projected descent). Both edges of
+either engine are sound, so on every path the bracket must lie in
+[0, value] and overlap the reference's, since both contain the exact
+value. At the default budget the upper edge may not be above the
+reference's, the lower edge must reach the reference's certificate to
+within 1e-6 bits, and a bracket the reference calls converged stays
+converged. Within the engine, batched and single calls agree on every
+field.
 """
 
 import numpy as np
@@ -24,7 +22,6 @@ from nonclassicality.core import DensityMatrix, SystemDims, wishart_state
 from nonclassicality.measures import (
     Bipartition,
     ReeConfig,
-    _simplex_proj,
     ree,
     ree_many,
 )
@@ -87,18 +84,6 @@ def assert_same(got, want):
     assert np.array_equal(got.closest_state.data, want.closest_state.data)
 
 
-def assert_matches_reference(got, ref):
-    """The reference's upper search bit for bit, and a lower bound in
-    [0, value]."""
-    assert got.path == "frank-wolfe"
-    assert got.value == ref.value
-    assert got.iterations == ref.iterations
-    assert got.fw_gap == ref.fw_gap
-    assert got.closest_state.dims == ref.closest_state.dims
-    assert np.array_equal(got.closest_state.data, ref.closest_state.data)
-    assert 0.0 <= got.lower_bound <= got.value
-
-
 def assert_overlaps_reference(got, ref):
     """A bracket in [0, value] that is not disjoint from the reference's."""
     assert 0.0 <= got.lower_bound <= got.value
@@ -119,10 +104,7 @@ def singles():
 def test_single_calls_match_reference(reference, singles):
     for path, got, want in zip(PATHS, singles, reference, strict=True):
         assert got.path == path
-        if path == "frank-wolfe":
-            assert_matches_reference(got, want)
-        else:
-            assert_overlaps_reference(got, want)
+        assert_overlaps_reference(got, want)
 
 
 def test_shuffled_mixed_batch_matches_single_calls(singles):
@@ -138,7 +120,9 @@ def test_default_budget_matches_reference():
     want = [reference_ree.ree(rho, part, ReeConfig(seed=4)) for part in (A_BC, AC_B)]
     got = ree_many([rho, rho], [A_BC, AC_B], ReeConfig(seed=4))
     for result, ref in zip(got, want):
-        assert_matches_reference(result, ref)
+        assert result.path == "frank-wolfe"
+        assert_overlaps_reference(result, ref)
+        assert result.value <= ref.value + 1e-9
         assert ref.lower_bound - 1e-6 <= result.lower_bound
         assert result.converged or not ref.converged
     for result, part in zip(got, (A_BC, AC_B)):
@@ -153,14 +137,3 @@ def test_argument_checks():
     big = SystemDims((2, 3, 3), ("A", "B", "C"))
     with pytest.raises(ValueError, match="exceeds"):
         ree_many([DensityMatrix(np.eye(18) / 18, big)], [A_BC])
-
-
-def test_padded_simplex_rows_project_like_unpadded_rows():
-    # the weight re-optimization pads short rows with -inf
-    rng = np.random.default_rng(9)
-    for k in (1, 2, 5, 17):
-        row = rng.normal(size=k) * rng.uniform(0.1, 3.0)
-        padded = np.concatenate([row, np.full(4, -np.inf)])
-        got = _simplex_proj(np.stack([padded, np.zeros(k + 4)]))
-        assert np.array_equal(got[0, :k], reference_ree._simplex_proj(row))
-        assert np.array_equal(got[0, k:], np.zeros(4))
