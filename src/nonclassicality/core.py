@@ -199,14 +199,17 @@ def partial_transpose(rho: DensityMatrix, subsystem: str) -> np.ndarray:
     return t.reshape(rho.dims.total, rho.dims.total)
 
 
+def spectrum_entropy_bits(w: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each spectrum along the last axis of w, over
+    eigenvalues above 1e-12."""
+    w = np.where(w > ENTROPY_CUTOFF, w, 1.0)
+    return -np.sum(w * np.log2(w), axis=-1)
+
+
 def entropy_bits(mats: np.ndarray) -> np.ndarray:
     """von Neumann entropy in bits of each matrix of an (n, d, d) stack,
     over eigenvalues above 1e-12."""
-    out = []
-    for w in np.linalg.eigvalsh(mats):
-        w = w[w > ENTROPY_CUTOFF]
-        out.append(-np.dot(w, np.log2(w)))
-    return np.array(out)
+    return spectrum_entropy_bits(np.linalg.eigvalsh(mats))
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
@@ -286,17 +289,18 @@ def dephase(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
 
 
 def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) through the eigendecomposition of Hermitian h.
+    """exp(-i h t) through the eigendecomposition of Hermitian h, or of
+    each matrix of an (n, d, d) stack.
 
     Exactly unitary up to roundoff, unlike a truncated series. Rejects
     non-Hermitian input instead of silently symmetrizing.
     """
     h = np.asarray(h, dtype=complex)
-    defect = float(np.max(np.abs(h - h.conj().T)))
+    defect = float(np.max(np.abs(h - _dag(h))))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"generator not Hermitian: defect {defect:.3e}")
     lam, u = np.linalg.eigh(h)
-    return (u * np.exp(-1j * lam * t)) @ u.conj().T
+    return (u * np.exp(-1j * lam * t)[..., None, :]) @ _dag(u)
 
 
 def embed_local(op: np.ndarray, subsystem: str, dims: SystemDims) -> np.ndarray:

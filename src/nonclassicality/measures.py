@@ -14,7 +14,11 @@ atom and weight by L-BFGS after each step. A state with a classical
 flag, rho = sum_c p_c rho_c (x) |c><c|, is bracketed block by block (REE
 is additive over flags), so the theorem suite's classical-mediator states
 become 2x2 barrier solves. The relative entropy of discord (one-way
-deficit) is minimized over von Neumann bases on the measured subsystem.
+deficit) is minimized over von Neumann bases on the measured subsystem,
+each scored through the spectra of the dephased state's diagonal blocks:
+a grid and finite-difference Newton for a measured qubit, a stacked
+gradient descent on U(d) for a qutrit or ququart. Its value is the best
+basis found, an upper estimate of the true deficit.
 
 There is one REE engine, `ree_many`. The barrier solve runs on (n, d, d)
 stacks, and a state that has finished leaves the stack or is masked out;
@@ -44,11 +48,12 @@ import numpy as np
 from .core import (
     DensityMatrix,
     SystemDims,
+    ENTROPY_CUTOFF,
     _dag,
-    dephase_axis,
     entropy_bits,
     hermitian_exp,
     partial_trace,
+    spectrum_entropy_bits,
     von_neumann_entropy,
 )
 
@@ -841,7 +846,14 @@ def ree_bell_diagonal(rho: DensityMatrix) -> float:
 @dataclass
 class DiscordConfig:
     """Budgets for the measurement-basis search; all non-negative integers,
-    checked at construction."""
+    checked at construction.
+
+    `grid` is the side of the (theta, phi) grid a measured qubit starts
+    from, and `refine_maxiter` bounds the rounds of its finite-difference
+    Newton refinement. A measured qutrit or ququart runs a gradient descent
+    on U(d) from the identity and `unitary_starts` Haar-random bases, and
+    `refine_maxiter` bounds its steps. `seed` seeds those random bases.
+    """
 
     grid: int = 12
     seed: int = 0
@@ -852,25 +864,152 @@ class DiscordConfig:
         _check_counts(self, ("grid", "seed", "refine_maxiter", "unitary_starts"))
 
 
-def _qubit_basis(theta: float, phi: float) -> np.ndarray:
-    """Columns are the Bloch basis at polar angle theta, azimuth phi."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]], dtype=complex
-    )
+# qubit search: half-width of the finite-difference stencil and longest
+# step, in radians
+STENCIL_H = 1e-4
+MAX_ANGLE_STEP = 0.5
+# either search stops a start whose step is shorter than this (radians, or
+# norm of the U(d) generator)
+ANGLE_TOL = 1e-10
+# qudit search: Armijo constant, and the QUDIT_KEEP best starts go on after
+# QUDIT_KEEP_AFTER steps
+ARMIJO = 1e-4
+QUDIT_KEEP = 4
+QUDIT_KEEP_AFTER = 20
 
 
-def _unitary_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    """d^2 real parameters -> unitary, via a Hermitian generator."""
-    h = np.zeros((d, d), dtype=complex)
-    h[np.diag_indices(d)] = params[:d]
-    k = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = params[k] + 1j * params[k + 1]
-            h[j, i] = params[k] - 1j * params[k + 1]
-            k += 2
-    return hermitian_exp(h, 1.0)
+def _mediator_blocks(mat: np.ndarray, dims: tuple, k: int) -> np.ndarray:
+    """The blocks <a|rho|b> on the other subsystems, shape (d, d, m, m), for
+    measured subsystem k of dimension d."""
+    n, d = len(dims), dims[k]
+    m = mat.shape[0] // d
+    return np.moveaxis(mat.reshape(dims + dims), (k, n + k), (0, 1)).reshape(d, d, m, m)
+
+
+def _rotated_blocks(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Blocks <u_c|rho|u_c'>, shape (n, d, d, m, m), for each basis of a
+    stack u (n, d, d) whose columns are the basis vectors; r comes from
+    `_mediator_blocks`. The c = c' blocks make up the dephased state."""
+    n, d = u.shape[0], u.shape[1]
+    ut = u.transpose(0, 2, 1)
+    w = ut.conj()[:, :, None, :, None] * ut[:, None, :, None, :]
+    return (w.reshape(n * d * d, d * d) @ r.reshape(d * d, -1)).reshape(n, d, d, *r.shape[2:])
+
+
+def _qubit_bases(angles: np.ndarray) -> np.ndarray:
+    """Stack of Bloch bases, one per row (theta, phi) of `angles`; columns
+    are the basis vectors."""
+    c, s = np.cos(angles[:, 0] / 2), np.sin(angles[:, 0] / 2)
+    e = np.exp(1j * angles[:, 1])
+    return np.stack([np.stack([c, -e.conj() * s], 1), np.stack([e * s, c], 1)], 1)
+
+
+def _qubit_search(r: np.ndarray, cfg: DiscordConfig) -> float:
+    """Least entropy of the dephased state over Bloch bases, in bits.
+
+    A half-angle grid (which contains the z and x bases exactly) in one
+    stacked spectrum, then finite-difference Newton from its best point:
+    each round evaluates a 3x3 stencil of half-width STENCIL_H around a
+    trial point. A trial that lowers the value is taken, and its stencil
+    gives the next step: Newton where the stencil Hessian is positive
+    definite, a gradient step elsewhere, either no longer than
+    MAX_ANGLE_STEP. A trial that does not lower it halves the step. Returns
+    the least value met.
+    """
+
+    def values(angles):
+        blocks = _rotated_blocks(r, _qubit_bases(angles))[:, [0, 1], [0, 1]]
+        return spectrum_entropy_bits(np.linalg.eigvalsh(blocks).reshape(len(angles), -1))
+
+    theta = np.linspace(0.0, np.pi / 2, cfg.grid)
+    phi = np.linspace(0.0, 2 * np.pi, cfg.grid, endpoint=False)
+    grid = np.stack(np.meshgrid(theta, phi, indexing="ij"), -1).reshape(-1, 2)
+    if not cfg.grid:
+        grid = np.zeros((1, 2))  # the z basis
+    f = values(grid)
+    x, fx = grid[np.argmin(f)], f.min()
+    best = fx
+    stencil = STENCIL_H * np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], float)
+    step = np.zeros(2)
+    for _ in range(cfg.refine_maxiter):
+        trial = x + step
+        fs = values(trial + stencil).reshape(3, 3)
+        best = min(best, fs.min())
+        if fs[1, 1] < fx or not step.any():  # the first round takes the start
+            x, fx = trial, fs[1, 1]
+            g = np.array([fs[2, 1] - fs[0, 1], fs[1, 2] - fs[1, 0]]) / (2 * STENCIL_H)
+            hxy = (fs[2, 2] - fs[2, 0] - fs[0, 2] + fs[0, 0]) / 4
+            hess = np.array([[fs[2, 1] - 2 * fs[1, 1] + fs[0, 1], hxy],
+                             [hxy, fs[1, 2] - 2 * fs[1, 1] + fs[1, 0]]]) / STENCIL_H**2
+            if hess[0, 0] > 0 and np.linalg.det(hess) > 0:
+                step = -np.linalg.solve(hess, g)
+            else:
+                step = -g / max(np.abs(hess).max(), 1e-300)
+            step *= min(1.0, MAX_ANGLE_STEP / max(np.linalg.norm(step), 1e-300))
+        else:
+            step = step / 2
+        if np.linalg.norm(step) < ANGLE_TOL:
+            break
+    return best
+
+
+def _entropy_and_gradient(r: np.ndarray, u: np.ndarray):
+    """S(D_U(rho)) in bits and its gradient G on U(d), for each basis of a
+    stack u (n, d, d): moving U to exp(-i eps H) U changes the entropy at
+    the rate Tr(H G), with G = Tr_rest(i[ln D_U(rho), rho]) / ln 2 (D_U(rho)
+    commutes with its log, and ln 0 counts as 0, as in the entropy)."""
+    d = u.shape[1]
+    rot = _rotated_blocks(r, u)
+    w, v = np.linalg.eigh(rot[:, np.arange(d), np.arange(d)])
+    logs = (v * np.log(np.where(w > ENTROPY_CUTOFF, w, 1.0))[:, :, None, :]) @ _dag(v)
+    # entry (c, c') is Tr(ln B_c R_cc') - Tr(R_cc' ln B_c'), in the basis U
+    comm = np.einsum("ncij,ncdji->ncd", logs, rot) - np.einsum("ncdij,ndji->ncd", rot, logs)
+    g = u @ (1j * comm / LN2) @ _dag(u)
+    return spectrum_entropy_bits(w.reshape(len(u), -1)), 0.5 * (g + _dag(g))
+
+
+def _qudit_search(r: np.ndarray, d: int, cfg: DiscordConfig) -> float:
+    """Least entropy of the dephased state over bases of a measured qudit,
+    in bits, by Riemannian gradient descent on U(d).
+
+    Every start steps along exp(i eps G) U, with G from
+    `_entropy_and_gradient`. The starts, the identity and
+    `cfg.unitary_starts` Haar-random bases, move in one stack. Each start
+    halves its own eps until the Armijo test passes; after a step that did,
+    the next eps is the Barzilai-Borwein length <s, s>/<s, y> of the step
+    s = eps G and the gradient change y. After QUDIT_KEEP_AFTER steps the
+    QUDIT_KEEP best starts go on, for at most `cfg.refine_maxiter` steps in
+    all; a start stops once eps |G| is below ANGLE_TOL. Returns the least
+    value met.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    z = rng.normal(size=(cfg.unitary_starts, d, d)) + 1j * rng.normal(size=(cfg.unitary_starts, d, d))
+    q, tri = np.linalg.qr(z)
+    phases = np.diagonal(tri, axis1=1, axis2=2)
+    u = np.concatenate([np.eye(d, dtype=complex)[None], q * (phases / np.abs(phases))[:, None, :]])
+    f, g = _entropy_and_gradient(r, u)
+    best = f.min()
+    eps = np.ones(len(f))
+    live = np.arange(len(f))
+    for it in range(cfg.refine_maxiter):
+        if it == QUDIT_KEEP_AFTER:
+            live = live[np.argsort(f[live], kind="stable")[:QUDIT_KEEP]]
+        slope = np.einsum("nij,nji->n", g[live], g[live]).real
+        go = eps[live] * np.sqrt(slope) > ANGLE_TOL
+        live, slope = live[go], slope[go]
+        if not live.size:
+            break
+        cand = hermitian_exp(-eps[live, None, None] * g[live], 1.0) @ u[live]
+        fc, gc = _entropy_and_gradient(r, cand)
+        best = min(best, fc.min())
+        ok = fc <= f[live] - ARMIJO * eps[live] * slope
+        a = live[ok]
+        sy = eps[a] * np.einsum("nij,nji->n", g[a], g[a] - gc[ok]).real
+        bb = eps[a] ** 2 * slope[ok] / np.where(sy > 0, sy, 1.0)
+        eps[live[~ok]] *= 0.5
+        eps[a] = np.where(sy > 0, bb, 2.0 * eps[a])
+        u[a], f[a], g[a] = cand[ok], fc[ok], gc[ok]
+    return best
 
 
 def discord_deficit(
@@ -879,70 +1018,26 @@ def discord_deficit(
     """One-way deficit: minimal entropy cost of dephasing `measured`.
 
     min over von Neumann bases of S(dephased rho) - S(rho), in bits,
-    clamped to be nonnegative. For a measured qubit the basis is a point
-    on the Bloch sphere: a half-angle grid (which contains the z and x
-    bases exactly) followed by Nelder-Mead refinement. Larger measured
-    dimensions (up to 4) use multi-start refinement over a Hermitian
-    generator parameterization.
-    """
-    # imported here: scipy.optimize costs about 0.1 s, and only discord needs it
-    from scipy.optimize import minimize
+    clamped to be nonnegative. A basis {u_c} is scored through the d
+    diagonal blocks <u_c|rho|u_c> of the dephased state, whose spectra
+    together are its spectrum, so a stack of bases costs one stacked
+    eigensolve of (m, m) blocks, m = dim(rho) / d. A measured qubit starts
+    from a (theta, phi) grid and refines its best point by finite-difference
+    Newton; a measured qutrit or ququart runs a stacked gradient descent on
+    U(d) from many starts (see `DiscordConfig` for the budgets).
 
+    The value is the best basis found, so it is an upper estimate of the
+    true minimum: a missed basis can only raise it. `check_relocation_bound`
+    uses it on the side of its inequality that needs a lower bound.
+    """
     cfg = config or DiscordConfig()
     k = rho.dims.index(measured)
     d = rho.dims.dims[k]
     if d > MAX_MEASURED_DIM:
         raise ValueError(f"measured dimension {d} exceeds {MAX_MEASURED_DIM}")
-    dims = rho.dims.dims
-    mat = rho.data
-    s0 = entropy_bits(mat[None])[0]
-
-    def deficit_qubit(angles) -> float:
-        theta, phi = angles
-        return entropy_bits(dephase_axis(mat, dims, k, _qubit_basis(theta, phi))[None])[0] - s0
-
-    if d == 2:
-        best, best_angles = math.inf, (0.0, 0.0)
-        grid = [(theta, phi) for theta in np.linspace(0.0, np.pi / 2, cfg.grid)
-                for phi in np.linspace(0.0, 2 * np.pi, cfg.grid, endpoint=False)]
-        if grid:  # the whole grid in one stacked eigvalsh
-            bases = np.array([_qubit_basis(theta, phi) for theta, phi in grid])
-            for angles, s in zip(grid, entropy_bits(dephase_axis(mat, dims, k, bases))):
-                if s - s0 < best:
-                    best, best_angles = s - s0, angles
-        res = minimize(
-            deficit_qubit,
-            np.asarray(best_angles),
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-9,
-                "fatol": 1e-12,
-                "maxiter": cfg.refine_maxiter,
-            },
-        )
-        best = min(best, float(res.fun))
-        return float(max(0.0, best))
-
-    # measured qutrit/ququart: multi-start over unitary generators
-    rng = np.random.default_rng(cfg.seed)
-    n_par = d * d
-
-    def deficit_unitary(params) -> float:
-        u = _unitary_from_params(np.asarray(params), d)
-        return entropy_bits(dephase_axis(mat, dims, k, u)[None])[0] - s0
-
-    best = math.inf
-    starts = [np.zeros(n_par)]  # identity start: computational basis
-    starts += [rng.uniform(-np.pi, np.pi, size=n_par) for _ in range(cfg.unitary_starts)]
-    for x0 in starts:
-        res = minimize(
-            deficit_unitary,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 6 * cfg.refine_maxiter},
-        )
-        best = min(best, float(res.fun))
-    return float(max(0.0, best))
+    r = _mediator_blocks(rho.data, rho.dims.dims, k)
+    s = _qubit_search(r, cfg) if d == 2 else _qudit_search(r, d, cfg)
+    return float(max(0.0, s - entropy_bits(rho.data[None])[0]))
 
 
 # --------------------------------------------------------------------------
@@ -955,6 +1050,9 @@ class RelocationReport:
 
     `gap` is |E(probe1:rest) - E(probe2:rest)| from the bracket upper
     values; validity of the check uses `slack`, the summed bracket widths.
+    `discord` is `discord_deficit`, the best basis found: an upper estimate
+    on the side of the inequality that needs a lower bound, so `holds` is
+    not certified there.
     """
 
     ree_first: ReeResult
@@ -976,6 +1074,10 @@ def check_relocation_bound(
     The first two labels are the probes, the last one the mediator whose
     discord with the rest bounds how much entanglement a single interaction
     sweep can relocate between the two splits.
+
+    Both REE sides are certified brackets, but the discord is the upper
+    estimate of `discord_deficit`, used where a lower bound is needed: a
+    missed basis makes the check easier to pass.
     """
     if len(rho.dims.labels) != 3:
         raise ValueError("need exactly three subsystems")

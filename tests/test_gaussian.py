@@ -436,7 +436,7 @@ class TestReproduceFig4:
         assert lines[1].startswith("60,0,0,")
 
     def test_does_not_import_scipy_optimize(self):
-        # only the discord search needs it; the CV commands start without it
+        # only the sliding Frank-Wolfe needs it; the CV commands start without it
         code = (
             "import sys\n"
             "from nonclassicality import OptomechParams, reproduce_fig4\n"

@@ -1,6 +1,7 @@
 """Entanglement and discord measures: golden values and certified brackets."""
 
 import functools
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from nonclassicality.core import (
     DensityMatrix,
     SystemDims,
+    dephase_axis,
+    entropy_bits,
+    hermitian_exp,
     kron,
     partial_trace,
     partial_transpose,
@@ -17,6 +21,8 @@ from nonclassicality.core import (
 from nonclassicality.dynamics import evolve_closed
 from nonclassicality.measures import (
     Bipartition,
+    _entropy_and_gradient,
+    _mediator_blocks,
     DiscordConfig,
     ReeConfig,
     check_relocation_bound,
@@ -433,10 +439,75 @@ class TestDiscordDeficit:
         with pytest.raises((KeyError, ValueError)):
             discord_deficit(bell_pair(), "Q")
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_qubit_search_matches_a_dense_reference(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        rho = DensityMatrix(wishart_state(8, rng, rank=1 + seed % 8), TRIPLE)
+        assert discord_deficit(rho, "C") == pytest.approx(reference_qubit_discord(rho), abs=1e-12)
+
+
+def reference_qubit_discord(rho: DensityMatrix) -> float:
+    """Deficit of measuring the last qubit by the seed's method, with more
+    effort: a 60x60 half-angle grid on the full dephased matrix, then
+    Nelder-Mead from its best point."""
+    from scipy.optimize import minimize
+
+    mat, dims = rho.data, rho.dims.dims
+    k = len(dims) - 1
+
+    def bases(angles):
+        theta, phi = np.asarray(angles).T
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        e = np.exp(1j * phi)
+        return np.stack([np.stack([c, -e.conj() * s], -1), np.stack([e * s, c], -1)], -2)
+
+    def deficit(angles):
+        return entropy_bits(dephase_axis(mat, dims, k, bases(angles))) - entropy_bits(mat[None])[0]
+
+    grid = np.array([(theta, phi) for theta in np.linspace(0.0, np.pi / 2, 60)
+                     for phi in np.linspace(0.0, 2 * np.pi, 60, endpoint=False)])
+    values = deficit(grid)
+    res = minimize(lambda x: deficit(x[None])[0], grid[np.argmin(values)], method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 2000})
+    return max(0.0, min(values.min(), res.fun))
+
 
 class TestQuditDiscord:
-    # measured qutrit: the multi-start search over unitary generators
+    # measured qutrit and ququart: the stacked descent on U(d)
     SMALL = DiscordConfig(unitary_starts=1, refine_maxiter=30)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_classical_mediator_in_a_random_basis_is_zero(self, d):
+        # sum_c p_c rho_c (x) U|c><c|U^H: the identity start misses U
+        rng = np.random.default_rng(40 + d)
+        p = rng.dirichlet(np.ones(d))
+        u = random_unitary(d, rng)
+        m = sum(p[c] * np.kron(random_state(4, rng), np.outer(u[:, c], u[:, c].conj()))
+                for c in range(d))
+        rho = DensityMatrix(m, SystemDims((2, 2, d), ("A", "B", "C")))
+        assert discord_deficit(rho, "C") < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gradient_matches_central_differences(self, d):
+        rng = np.random.default_rng(50 + d)
+        mat = wishart_state(4 * d, rng, rank=3)
+        r = _mediator_blocks(mat, (2, 2, d), 2)
+        u = random_unitary(d, rng)
+        h = random_unitary(d, rng)
+        h = h + h.conj().T
+        _, g = _entropy_and_gradient(r, u[None])
+        eps = 1e-5
+        ends = np.stack([hermitian_exp(h, eps) @ u, hermitian_exp(h, -eps) @ u])
+        f_plus, f_minus = _entropy_and_gradient(r, ends)[0]
+        assert np.trace(h @ g[0]).real == pytest.approx((f_plus - f_minus) / (2 * eps), abs=1e-8)
+
+    def test_ququart_call_at_default_budget_is_fast(self):
+        rng = np.random.default_rng(4)
+        rho = DensityMatrix(wishart_state(16, rng, rank=2), SystemDims((2, 2, 4), ("A", "B", "C")))
+        started = time.monotonic()
+        value = discord_deficit(rho, "C")
+        assert time.monotonic() - started < 2.0
+        assert 0.0 < value <= 2.0
 
     def test_classical_qutrit_mediator_is_zero(self):
         rng = np.random.default_rng(21)
