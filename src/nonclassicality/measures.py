@@ -1081,8 +1081,6 @@ def check_relocation_bound(
     """
     if len(rho.dims.labels) != 3:
         raise ValueError("need exactly three subsystems")
-    if rho.dims.total > MAX_REE_DIM:
-        raise ValueError(f"total dimension {rho.dims.total} exceeds {MAX_REE_DIM}")
     a, b, c = rho.dims.labels
     cfg = config or ReeConfig()
     r1, r2 = ree_many([rho, rho], [Bipartition((a,), (b, c)), Bipartition((a, c), (b,))], cfg)

@@ -248,9 +248,7 @@ class TestCovarianceState:
     def test_submatrix_order_follows_labels(self):
         v = np.diag([1.0, 1.0, 3.0, 3.0, 5.0, 5.0]) / 2
         state = CovarianceState(v, ("a", "b", "c"))
-        sub = state.submatrix(("c", "a"))
-        np.testing.assert_allclose(sub.v, np.diag([5.0, 5.0, 1.0, 1.0]) / 2)
-        assert sub.mode_labels == ("c", "a")
+        assert [state.mode_index(label) for label in ("c", "a")] == [2, 0]
         with pytest.raises(KeyError):
             state.mode_index("d")
 
@@ -280,6 +278,26 @@ class TestSymplecticEigenvalues:
             symplectic_eigenvalues(0.5 * (transformed + transformed.T)),
             [0.6, 1.7], rtol=1e-9)
 
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(5)
+        omega = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        stack = []
+        for _ in range(7):
+            h = rng.normal(size=(6, 6))
+            s = expm(omega @ (h + h.T) / 4)
+            v = s @ np.diag(rng.uniform(1.0, 4.0, 3).repeat(2)) @ s.T / 2
+            stack.append(0.5 * (v + v.T))
+        stack = np.array(stack)
+        got = symplectic_eigenvalues(stack)
+        assert got.shape == (7, 3)
+        assert np.array_equal(got, np.array([symplectic_eigenvalues(v) for v in stack]))
+
+    def test_unpairable_matrix_in_stack_raises(self):
+        bad = np.eye(4) / 2
+        bad[:2, :2] = [[0.0, -2.0], [1.0, 0.0]]  # i Omega V has moduli 1 and 2
+        with pytest.raises(RuntimeError, match="pair"):
+            symplectic_eigenvalues(np.array([np.eye(4) / 2, bad, np.eye(4) / 2]))
+
 
 class TestLogNegativityGaussian:
     def test_vacuum_has_none(self):
@@ -304,6 +322,16 @@ class TestLogNegativityGaussian:
     def test_single_mode_rejected(self):
         with pytest.raises(ValueError):
             log_negativity_gaussian(vacuum(1), 0)
+
+    def test_stack_matches_per_state_calls(self):
+        rs = (0.0, 0.1, 0.35, 0.7, 1.2)
+        states = [two_mode_squeezed(r) for r in rs] + [vacuum(2)]
+        stack = np.array([state.v for state in states])
+        for mode in (0, 1):
+            got = log_negativity_gaussian(stack, mode)
+            assert got.shape == (len(states),)
+            assert np.array_equal(got, [log_negativity_gaussian(s, mode) for s in states])
+            np.testing.assert_allclose(got[:-1], 2 * np.array(rs), rtol=1e-9, atol=1e-12)
 
 
 class TestPropagate:
@@ -408,7 +436,7 @@ class TestLyapunovSteady:
             residual = np.max(np.abs(model.k @ steady.v
                                      + steady.v @ model.k.T + model.d))
             assert residual <= 1e-10 * np.max(np.abs(model.d))
-            e_ab = log_negativity_gaussian(steady.submatrix(("a", "b")), "b")
+            e_ab = log_negativity_gaussian(steady.v[:4, :4], 1)
             e_abc = log_negativity_gaussian(steady, "c")
             assert e_ab == pytest.approx(target, abs=1e-4)
             assert e_abc == 0.0
@@ -426,6 +454,24 @@ class TestReproduceFig4:
         assert max(s.e_abc) > 0.05
         assert max(s.e_ab) < 1e-4
         assert not s.reached_steady
+
+    def test_series_matches_per_sample_calls(self):
+        p = replace(OptomechParams.membrane_defaults(), power_b=40e-3)
+        series = reproduce_fig4((40e-3,), t_max=10 / p.omega_c, n_samples=25).series[0]
+        derived = derive_params(p)
+        traj = propagate_covariance(initial_covariance(derived),
+                                    build_drift_diffusion(derived, p),
+                                    10 / p.omega_c, n_samples=25)
+        assert series.times == traj.times
+        assert series.e_ab == tuple(
+            log_negativity_gaussian(CovarianceState(state.v[:4, :4]), 1)
+            for state in traj.states)
+        assert series.e_abc == tuple(
+            log_negativity_gaussian(state, "c") for state in traj.states)
+        assert all(type(e) is float for e in series.e_ab + series.e_abc)
+        # a clamped zero is +0.0, never -0.0
+        assert math.copysign(1.0, series.e_ab[0]) == 1.0
+        assert math.copysign(1.0, series.e_abc[0]) == 1.0
 
     def test_csv_layout(self):
         p = OptomechParams.membrane_defaults()

@@ -22,6 +22,7 @@ from nonclassicality.core import DensityMatrix, SystemDims, wishart_state
 from nonclassicality.measures import (
     Bipartition,
     ReeConfig,
+    check_relocation_bound,
     ree,
     ree_many,
 )
@@ -137,3 +138,6 @@ def test_argument_checks():
     big = SystemDims((2, 3, 3), ("A", "B", "C"))
     with pytest.raises(ValueError, match="exceeds"):
         ree_many([DensityMatrix(np.eye(18) / 18, big)], [A_BC])
+    with pytest.raises(ValueError, match="exceeds"):
+        check_relocation_bound(
+            DensityMatrix(np.eye(20) / 20, SystemDims((2, 2, 5), ("A", "B", "C"))))
