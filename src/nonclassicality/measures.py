@@ -4,21 +4,24 @@ Three measures live here. Logarithmic negativity is cheap and exact.
 Relative entropy of entanglement (REE) has no closed form, so it is
 reported as a certified bracket. Its lower edge comes from the PPT
 relaxation, min S(rho||sigma) over PPT states, solved by a log-barrier
-Newton method; the eigenvalue dual certificate is valid at any positive
-definite point, so the lower edge is sound however far the solve got, and
-at the default budgets it closes the PPT problem to about 1e-7 bits. Its
-upper edge is S(rho||sigma) at a separable sigma: on 2x2 and 2x3 cuts,
-where PPT = separable, the barrier's own final sigma; on larger cuts an
+Newton method, with each Newton system solved in real coordinates on
+Hermitian matrices; the eigenvalue dual certificate is valid at any
+positive definite point, so the lower edge is sound however far the
+solve got and wherever it started, and at the default budgets it closes
+the PPT problem to about 1e-7 bits. Its upper edge is S(rho||sigma) at a
+separable sigma: on 2x2 and 2x3 cuts, where PPT = separable, the
+barrier's own final sigma, from a cold start at I/d; on larger cuts an
 explicit product mixture found by sliding Frank-Wolfe, which moves every
-atom and weight by L-BFGS after each step. A state with a classical
-flag, rho = sum_c p_c rho_c (x) |c><c|, is bracketed block by block (REE
-is additive over flags), so the theorem suite's classical-mediator states
-become 2x2 barrier solves. The relative entropy of discord (one-way
-deficit) is minimized over von Neumann bases on the measured subsystem,
-each scored through the spectra of the dephased state's diagonal blocks:
-a grid and finite-difference Newton for a measured qubit, a stacked
-gradient descent on U(d) for a qutrit or ququart. Its value is the best
-basis found, an upper estimate of the true deficit.
+atom and weight by L-BFGS after each step, and the barrier then starts
+warm, next to that mixture. A state with a classical flag, rho = sum_c
+p_c rho_c (x) |c><c|, is bracketed block by block (REE is additive over
+flags), so the theorem suite's classical-mediator states become 2x2
+barrier solves. The relative entropy of discord (one-way deficit) is
+minimized over von Neumann bases on the measured subsystem, each scored
+through the spectra of the dephased state's diagonal blocks: a grid and
+finite-difference Newton for a measured qubit, a stacked gradient
+descent on U(d) for a qutrit or ququart. Its value is the best basis
+found, an upper estimate of the true deficit.
 
 There is one REE engine, `ree_many`. The barrier solve runs on (n, d, d)
 stacks, and a state that has finished leaves the stack or is masked out;
@@ -220,9 +223,11 @@ class ReeConfig:
     weight after the start and after each Frank-Wolfe step (0 turns the
     slide off). `descent_iters` is the number of Newton steps per problem
     of the barrier solve behind the lower edge, and behind both edges on
-    2x2 and 2x3 cuts. At the defaults a generic 2x4 bracket takes well
-    under half a second and closes to 1e-3 bits or better. Shrinking any
-    budget loosens the bracket but never invalidates it.
+    2x2 and 2x3 cuts. At the defaults a generic 2x4 bracket takes about
+    0.1 s on one core (at most about 0.4 s), of which the warm-started
+    lower edge takes about 15 ms, and closes to about 1e-5 bits, 2e-3 at
+    worst. Shrinking any budget loosens the bracket but never invalidates
+    it.
     Budgets are checked at construction: counts are non-negative integers,
     `product_rounds` is at least 1, tolerances are finite and positive.
     """
@@ -448,6 +453,11 @@ def _ree_upper(rho, dl, dr, t1, cfg: ReeConfig):
 BARRIER_GROWTH = 16.0
 LOWER_GAP_TOL = 1e-7
 STALL_SHARE = 0.01
+# share of I/d in the warm start of `_ree_lower`, which also sets its
+# barrier weight: on the relocation pools 1e-3 took a quarter more Newton
+# steps, and 1e-6 left Newton crawling near the PPT boundary, with brackets
+# 0.15 bits wide at the step budget
+WARM_BLEND = 1e-4
 
 
 def _log_second_dd(lam, tol=1e-6) -> np.ndarray:
@@ -469,52 +479,122 @@ def _log_second_dd(lam, tol=1e-6) -> np.ndarray:
                     0.5 * (dx[:, :, :, None] + dx[:, :, None, :]))
 
 
-def _sandwich(a) -> np.ndarray:
-    """Matrix of X -> a X a on row-major vec(X), for each Hermitian a."""
-    n, d = a.shape[0], a.shape[1]
-    return (a[:, :, None, :, None] * a.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
+def _pt_hessian_index(pt: np.ndarray) -> np.ndarray:
+    """Flat gather index, per problem, of the sandwich X -> (r X^Gamma r)^Gamma
+    in the layout Q[p, q, a, b] = H[(a, p), (b, q)] of `_real_coordinates`,
+    taken from outer(vec conj(r), vec r) with `_pt_gather`; `pt` holds each
+    problem's `_pt_index`."""
+    n, d = pt.shape[0], math.isqrt(pt.shape[1])
+    x, y = np.divmod(pt.reshape(n, d, d).swapaxes(1, 2), d)  # [n, p, a]
+    idx = ((y[:, :, None, :, None] * d + y[:, None, :, None, :]) * d * d
+           + x[:, :, None, :, None] * d + x[:, None, :, None, :])
+    return idx.reshape(n, -1)
 
 
-def _newton_step(lam, u, rho, g, r_inv, pt, t):
+@functools.lru_cache(maxsize=None)
+def _real_coordinates(d: int):
+    """Index tables of real orthonormal coordinates on Hermitian d x d
+    matrices (read-only: every caller shares them).
+
+    Coordinate p = a d + b is X[a, a] on the diagonal, sqrt2 Re X[a, b]
+    above it and sqrt2 Im X[b, a] below it. Returns (re, im, lo, hi,
+    back_re, back_im, j1, j2, c1, c2), with vec row-major:
+    - x = re * Re vec(X) + im * Im vec(X);
+    - vec(X) = back_re * x[lo] + 1j * back_im * x[hi];
+    - an operator held as Q[p, q, a, b] = H[(a, p), (b, q)] has the real
+      matrix c1 * F[j1] + c2 * F[j2], F the float view of Q. (With basis
+      matrix B, B^H H B = Re(w (H + s HT)) entrywise, HT the columns of H
+      at the transposed index and s = -1 below the diagonal; each w is
+      real or imaginary, so each term reads Re or Im of Q.)
+    """
+    dd = d * d
+    a, b = np.divmod(np.arange(dd), d)
+    tp = b * d + a
+    below = a > b
+    norm = np.where(a == b, 1.0, math.sqrt(2.0))
+    re, im = np.where(below, 0.0, norm), np.where(below, -norm, 0.0)
+    lo, hi = np.minimum(np.arange(dd), tp), np.maximum(np.arange(dd), tp)
+    back_re, back_im = 1.0 / norm, np.sign(b - a) / norm
+    theta = np.where(a == b, math.sqrt(0.5), np.where(below, -1j, 1.0))
+    w = np.outer(theta.conj(), theta).reshape(-1)
+    imag = w.imag != 0
+    c1 = np.where(imag, -w.imag, w.real)
+    c2 = c1 * np.tile(np.where(below, -1.0, 1.0), dd)
+    q = np.arange(dd * dd).reshape(d, d, d, d)
+    j1 = 2 * q.transpose(2, 0, 3, 1).reshape(-1) + imag  # H[(a, p), (b, q)]
+    j2 = 2 * q.transpose(2, 0, 1, 3).reshape(-1) + imag  # H[(a, p), (q, b)]
+    tables = (re, im, lo, hi, back_re, back_im, j1, j2, c1, c2)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _newton_step(lam, u, rho, g, r_inv, r_pt, hess_pt, t):
     """Newton step of t (-Tr rho ln sigma) - ln det sigma - ln det sigma^Gamma
     over trace-one sigma = u lam u^H, and its slope, per problem.
 
-    `g` is `_grad_log_term` at sigma, `r_inv` = (sigma^Gamma)^-1. The Hessian
-    on row-major vec(sigma) has a Daleckii-Krein part and two sandwiches; one
-    batched solve with two right-hand sides keeps the step trace-free.
+    `g` is `_grad_log_term` at sigma, `r_inv` = (sigma^Gamma)^-1, `r_pt` its
+    partial transpose, and `hess_pt` holds each problem's
+    `_pt_hessian_index` row. The Hessian is the Daleckii-Krein operator
+    X -> sum_m (c_m X P_m + P_m X c_m), with P_m the eigenprojectors of
+    sigma, plus the sandwiches X -> s X s, s = sigma^-1, and
+    X -> (r X^Gamma r)^Gamma, r = r_inv. It is summed in the layout Q of
+    `_real_coordinates`, where the first part is one matmul, the second an
+    outer product and the third a gather of one, and then taken into real
+    coordinates in one pass; one batched real solve with two right-hand
+    sides keeps the step trace-free.
     """
     n, d = lam.shape[0], lam.shape[1]
+    dd = d * d
     uh = _dag(u)
-    # relative-entropy Hessian: column blocks in the eigenbasis of sigma,
-    # rotated back, plus the adjoint-transposed half
-    c = u[:, None] @ (-(uh @ rho @ u)[:, None] * _log_second_dd(lam)) @ uh[:, None]
-    y = (u.conj()[:, :, None, :] * u[:, None, :, :]).reshape(n, d * d, d)
-    h = (y @ c.reshape(n, d, d * d)).reshape(n, d, d, d, d).transpose(0, 3, 1, 4, 2)
-    h = h.reshape(n, d * d, d * d)
-    tp = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    # c_m = u (A o L_m) u^H, A = -t u^H rho u, L_m the second divided
+    # differences of ln; Q[p, q, a, b] = sum_m conj(u_pm) u_qm c_m[a, b]
+    c = u[:, None] @ ((-t[:, None, None, None] * (uh @ rho @ u)[:, None])
+                      * _log_second_dd(lam)) @ uh[:, None]
+    y = (u.conj()[:, :, None, :] * u[:, None, :, :]).reshape(n, dd, d)
+    q = y @ c.reshape(n, d, dd)
+    q += _dag(q)  # the P_m X c_m half
     s_inv = (u / lam[:, None, :]) @ uh
-    rows = np.arange(n)[:, None, None]
-    h = (t[:, None, None] * (h + h[:, tp][:, :, tp].conj()) + _sandwich(s_inv)
-         + _sandwich(r_inv)[rows, pt[:, :, None], pt[:, None, :]])
-    grad = -t[:, None, None] * g - s_inv - _ptrans(r_inv, _pt_gather(pt))
+    sv, rv = s_inv.reshape(n, dd), r_inv.reshape(n, dd)
+    q += sv.conj()[:, :, None] * sv[:, None, :]
+    q = q.reshape(n, -1)
+    q += (rv.conj()[:, :, None] * rv[:, None, :]).reshape(-1)[_pt_gather(hess_pt)]
+    re, im, lo, hi, back_re, back_im, j1, j2, c1, c2 = _real_coordinates(d)
+    flat = q.view(np.float64)
+    h = np.take(flat, j1, axis=1)
+    h *= c1
+    h += np.take(flat, j2, axis=1) * c2
+    h = h.reshape(n, dd, dd)
+    grad = (-t[:, None, None] * g - s_inv - r_pt).reshape(n, dd)
+    grad = grad.real * re + grad.imag * im
     # dropping the trace part changes no step and keeps the solve well scaled
-    grad = grad - (np.trace(grad, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
-    scale = np.sqrt(np.diagonal(h, axis1=1, axis2=2).real)[:, :, None]
-    rhs = np.stack([grad.reshape(n, d * d), np.broadcast_to(np.eye(d).ravel(), (n, d * d))], 2)
-    sol = np.linalg.solve(h / scale / scale.swapaxes(1, 2), rhs / scale) / scale
-    tr = sol.reshape(n, d, d, 2).trace(axis1=1, axis2=2).real
-    step = -(sol[:, :, 0] - (tr[:, 0] / tr[:, 1])[:, None] * sol[:, :, 1]).reshape(n, d, d)
-    step = 0.5 * (step + _dag(step))
-    return step, np.einsum("nij,nji->n", grad, step).real
+    grad[:, ::d + 1] -= grad[:, ::d + 1].mean(1)[:, None]
+    scale = 1.0 / np.sqrt(np.diagonal(h, axis1=1, axis2=2))
+    h *= scale[:, :, None]
+    h *= scale[:, None, :]
+    rhs = np.zeros((n, dd, 2))
+    rhs[:, :, 0] = grad * scale
+    rhs[:, ::d + 1, 1] = scale[:, ::d + 1]  # the real coordinates of I
+    sol = np.linalg.solve(h, rhs) * scale[:, :, None]
+    tr = sol[:, ::d + 1].sum(1)
+    x = (tr[:, 0] / tr[:, 1])[:, None] * sol[:, :, 1] - sol[:, :, 0]
+    step = (back_re * x[:, lo] + 1j * back_im * x[:, hi]).reshape(n, d, d)
+    return step, np.einsum("ni,ni->n", grad, x)
 
 
-def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig):
+def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig, start=None):
     """Certified lower bound on REE through the PPT relaxation, per problem.
 
     min S(rho||sigma) over PPT states (Rains 2001) is smooth and convex; a
     log-barrier method (Boyd & Vandenberghe, ch. 11) takes damped Newton
-    steps from sigma = I/d and raises t once sigma is centered (certificate
-    within 1.5 times the barrier's 2d/t of f). At every point,
+    steps and raises t once sigma is centered (certificate within 1.5 times
+    the barrier's 2d/t of f). Without `start` it starts cold, at sigma = I/d
+    and t = 1. A `start` stack of separable states (the Frank-Wolfe closest
+    states) starts it warm, at (1 - WARM_BLEND) start + WARM_BLEND I/d and
+    t = d / WARM_BLEND: the blend keeps sigma and sigma^Gamma at least
+    WARM_BLEND/d above 0, and the barrier's pull on an eigenvalue that
+    small, its inverse, then matches t times the objective's, so the start
+    lies near the central path. At every point,
     REE >= f(sigma) - <W, sigma> + lambda_min(W - Q^Gamma), W = grad f, for
     any sigma > 0 and Q >= 0 (weak duality); Q = (sigma^Gamma)^-1 / (t ln 2)
     is the barrier's dual estimate, so the bound is sound whether or not
@@ -530,9 +610,15 @@ def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig):
     sigma = np.broadcast_to(np.eye(d, dtype=complex) / d, (n, d, d)).copy()
     u, lam = sigma * d, np.full((n, d), 1.0 / d)
     v, mu = u.copy(), lam.copy()
-    f = _rel_ent_bits(t1, rho, lam, u)
-    logdet = 2 * d * np.log(lam[:, 0])  # ln det sigma + ln det sigma^Gamma
     t = np.ones(n)  # barrier weight
+    if start is not None:
+        sigma = (1.0 - WARM_BLEND) * start + WARM_BLEND * sigma
+        lam, u = np.linalg.eigh(sigma)
+        mu, v = np.linalg.eigh(_ptrans(sigma, _pt_gather(pt)))
+        t *= d / WARM_BLEND
+    f = _rel_ent_bits(t1, rho, lam, u)
+    logdet = np.log(lam).sum(1) + np.log(mu).sum(1)  # ln det sigma + ln det sigma^Gamma
+    hess_pt = _pt_hessian_index(pt)
     best = np.full(n, -np.inf)
     stage_start = best.copy()
     steps = np.zeros(n, dtype=int)
@@ -541,18 +627,18 @@ def _ree_lower(rho, pt, t1, upper, cfg: ReeConfig):
         ix = active
         g = _grad_log_term(lam[ix], u[ix], rho[ix])
         r_inv = (v[ix] / mu[ix][:, None, :]) @ _dag(v[ix])
+        r_pt = _ptrans(r_inv, _pt_gather(pt[ix]))
         w = -g / LN2
-        q_pt = _ptrans(r_inv, _pt_gather(pt[ix])) / (t[ix] * LN2)[:, None, None]
         cert = (f[ix] - np.einsum("nij,nji->n", w, sigma[ix]).real
-                + np.linalg.eigvalsh(w - q_pt)[:, 0])
+                + np.linalg.eigvalsh(w - r_pt / (t[ix] * LN2)[:, None, None])[:, 0])
         best[ix] = np.fmax(best[ix], cert)
         going = (f[ix] - best[ix] > LOWER_GAP_TOL) & (upper[ix] - best[ix] > LOWER_GAP_TOL)
         if it == cfg.descent_iters or not going.any():
             break
         ix = active = ix[going]
         steps[ix] += 1
-        g, r_inv, cert = g[going], r_inv[going], cert[going]
-        step, slope = _newton_step(lam[ix], u[ix], rho[ix], g, r_inv, pt[ix], t[ix])
+        g, r_inv, r_pt, cert = g[going], r_inv[going], r_pt[going], cert[going]
+        step, slope = _newton_step(lam[ix], u[ix], rho[ix], g, r_inv, r_pt, hess_pt[ix], t[ix])
         centered = f[ix] - cert <= 3 * d / (t[ix] * LN2)
         # damped Newton: halve until feasible with an Armijo decrease of the
         # barrier objective, allowing for its rounding at large t
@@ -701,7 +787,7 @@ def _solve_leaves(leaves: list, cfg: ReeConfig) -> list:
             gap, iters, sigma = (np.array(x) for x in zip(*fw))
             sigma = _full_support(sigma)
             upper = _positive(_rel_ent_bits(t1, rho, *np.linalg.eigh(sigma)))
-            lower = _ree_lower(rho, pt, t1, upper, cfg)[0]
+            lower = _ree_lower(rho, pt, t1, upper, cfg, start=sigma)[0]
         lower = np.where(upper < lower, upper, lower)
         # either stationarity of the upper search or a bracket already
         # tighter than the advertised resolution counts as converged;
@@ -921,11 +1007,11 @@ def _qubit_search(r: np.ndarray, cfg: DiscordConfig) -> float:
         blocks = _rotated_blocks(r, _qubit_bases(angles))[:, [0, 1], [0, 1]]
         return spectrum_entropy_bits(np.linalg.eigvalsh(blocks).reshape(len(angles), -1))
 
-    theta = np.linspace(0.0, np.pi / 2, cfg.grid)
+    theta = np.linspace(0.0, np.pi / 2, cfg.grid)[1:]
     phi = np.linspace(0.0, 2 * np.pi, cfg.grid, endpoint=False)
-    grid = np.stack(np.meshgrid(theta, phi, indexing="ij"), -1).reshape(-1, 2)
-    if not cfg.grid:
-        grid = np.zeros((1, 2))  # the z basis
+    # every phi gives the z basis at theta = 0, so it is scored once, first
+    grid = np.concatenate([np.zeros((1, 2)),
+                           np.stack(np.meshgrid(theta, phi, indexing="ij"), -1).reshape(-1, 2)])
     f = values(grid)
     x, fx = grid[np.argmin(f)], f.min()
     best = fx

@@ -8,6 +8,10 @@ replaced; their budgets, no longer `ReeConfig` fields, are arguments of
 `ree` here. Only the imports, those two arguments and the result's
 `path` field (this engine always runs Frank-Wolfe) differ; the
 configuration and result types are the package's own.
+
+The last section keeps the barrier-Newton step of the package's PPT lower
+edge as it was first written, on complex row-major vec(sigma): the
+reference for the real-coordinate step that replaced it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 
 import numpy as np
 
-from nonclassicality.core import DensityMatrix, SystemDims
+from nonclassicality.core import DensityMatrix, SystemDims, _dag
 from nonclassicality.measures import Bipartition, ReeConfig, ReeResult
 
 LN2 = math.log(2.0)
@@ -406,3 +410,71 @@ def ree(rho: DensityMatrix, part: Bipartition, config: ReeConfig | None = None,
         fw_gap=float(gap),
         path="frank-wolfe",
     )
+
+
+# --------------------------------------------------------------------------
+# the barrier-Newton step of the PPT lower edge, as first written
+#
+# A verbatim copy of the package's complex step on row-major vec(sigma),
+# kept as the reference that the real-coordinate step must match; only the
+# partial-transpose helpers are inlined. It does not belong to the engine
+# above, which has no barrier solve.
+
+
+def _log_second_dd(lam, tol=1e-6) -> np.ndarray:
+    """Second divided differences of ln at the eigenvalues, per matrix.
+
+    Entry [n, m, i, j] is ln[lam_i, lam_m, lam_j]. Pairs closer than `tol`
+    (relative) take derivative branches, so every division is by a safe
+    operand; the values feed a Newton Hessian, which need not be exact.
+    """
+    li, lj = lam[:, :, None], lam[:, None, :]
+    dl = li - lj
+    far = np.abs(dl) > tol * np.maximum(li, lj)
+    safe = np.where(far, dl, 1.0)
+    ll = np.log(lam)
+    f1 = np.where(far, (ll[:, :, None] - ll[:, None, :]) / safe, 2.0 / (li + lj))
+    dx = np.where(far, (1.0 / li - f1) / safe, -0.5 / (li * lj))  # d/dx of f1(x, y)
+    f1, dx = f1.swapaxes(1, 2)[:, :, :, None], dx.swapaxes(1, 2)  # indexed [m, i]
+    return np.where(far[:, None], (f1 - f1.swapaxes(2, 3)) / safe[:, None],
+                    0.5 * (dx[:, :, :, None] + dx[:, :, None, :]))
+
+
+def _sandwich(a) -> np.ndarray:
+    """Matrix of X -> a X a on row-major vec(X), for each Hermitian a."""
+    n, d = a.shape[0], a.shape[1]
+    return (a[:, :, None, :, None] * a.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
+
+
+def _newton_step(lam, u, rho, g, r_inv, pt, t):
+    """Newton step of t (-Tr rho ln sigma) - ln det sigma - ln det sigma^Gamma
+    over trace-one sigma = u lam u^H, and its slope, per problem.
+
+    `g` is `_grad_log_term` at sigma, `r_inv` = (sigma^Gamma)^-1. The Hessian
+    on row-major vec(sigma) has a Daleckii-Krein part and two sandwiches; one
+    batched solve with two right-hand sides keeps the step trace-free.
+    """
+    n, d = lam.shape[0], lam.shape[1]
+    uh = _dag(u)
+    # relative-entropy Hessian: column blocks in the eigenbasis of sigma,
+    # rotated back, plus the adjoint-transposed half
+    c = u[:, None] @ (-(uh @ rho @ u)[:, None] * _log_second_dd(lam)) @ uh[:, None]
+    y = (u.conj()[:, :, None, :] * u[:, None, :, :]).reshape(n, d * d, d)
+    h = (y @ c.reshape(n, d, d * d)).reshape(n, d, d, d, d).transpose(0, 3, 1, 4, 2)
+    h = h.reshape(n, d * d, d * d)
+    tp = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    s_inv = (u / lam[:, None, :]) @ uh
+    rows = np.arange(n)[:, None, None]
+    h = (t[:, None, None] * (h + h[:, tp][:, :, tp].conj()) + _sandwich(s_inv)
+         + _sandwich(r_inv)[rows, pt[:, :, None], pt[:, None, :]])
+    r_pt = r_inv.reshape(-1)[pt + d * d * np.arange(n)[:, None]].reshape(r_inv.shape)
+    grad = -t[:, None, None] * g - s_inv - r_pt
+    # dropping the trace part changes no step and keeps the solve well scaled
+    grad = grad - (np.trace(grad, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
+    scale = np.sqrt(np.diagonal(h, axis1=1, axis2=2).real)[:, :, None]
+    rhs = np.stack([grad.reshape(n, d * d), np.broadcast_to(np.eye(d).ravel(), (n, d * d))], 2)
+    sol = np.linalg.solve(h / scale / scale.swapaxes(1, 2), rhs / scale) / scale
+    tr = sol.reshape(n, d, d, 2).trace(axis1=1, axis2=2).real
+    step = -(sol[:, :, 0] - (tr[:, 0] / tr[:, 1])[:, None] * sol[:, :, 1]).reshape(n, d, d)
+    step = 0.5 * (step + _dag(step))
+    return step, np.einsum("nij,nji->n", grad, step).real
